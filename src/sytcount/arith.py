@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,8 +27,13 @@ _MR_BASES_WIDE = _MR_BASES_SMALL + (
 )
 _MR_SMALL_BOUND = 3317044064679887385961981
 
+# Integers up to this bound are factored through the smallest-prime-factor
+# table; larger ones go through factorize.
+_SPF_LIMIT = 1 << 20
+
 _sieve_primes: list[int] = []
 _sieve_limit = 0
+_spf = array("I", [0, 1])
 
 
 class NotAnInteger(ValueError):
@@ -46,6 +52,19 @@ def _extend_sieve(limit: int) -> None:
             mask[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     _sieve_primes = [i for i, flag in enumerate(mask) if flag]
     _sieve_limit = limit
+
+
+def _extend_spf(limit: int) -> None:
+    """Grow the smallest-prime-factor table to cover ``0..limit``."""
+    global _spf
+    if limit < len(_spf):
+        return
+    size = min(max(limit + 1, 2 * len(_spf), 1024), _SPF_LIMIT + 1)
+    spf = array("I", range(size))
+    # Largest primes first, so each entry ends with its smallest prime.
+    for p in reversed(primes_up_to(math.isqrt(size - 1))):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
+    _spf = spf
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -240,9 +259,7 @@ class FactoredRatio:
 
     @classmethod
     def from_integer(cls, k: int) -> "FactoredRatio":
-        if k == 0:
-            raise ValueError("zero has no factored form")
-        return cls(factorize(abs(k)).pairs, 1 if k > 0 else -1)
+        return cls().times(k)
 
     def _with(self, acc: dict[int, int], sign: int) -> "FactoredRatio":
         return FactoredRatio(
@@ -268,28 +285,47 @@ class FactoredRatio:
         )
 
     def times(self, *ints: int) -> "FactoredRatio":
-        out = self
-        for k in ints:
-            out = out * FactoredRatio.from_integer(k)
-        return out
+        """This ratio multiplied by every integer in ``ints``."""
+        return self._scaled(ints, 1)
 
     def over(self, *ints: int) -> "FactoredRatio":
-        out = self
+        """This ratio divided by every integer in ``ints``."""
+        return self._scaled(ints, -1)
+
+    def _scaled(self, ints: Sequence[int], scale: int) -> "FactoredRatio":
+        # All factors go into one exponent map, sorted once at the end.
+        acc = dict(self.factors)
+        sign = self.sign
+        _extend_spf(max((abs(k) for k in ints if abs(k) <= _SPF_LIMIT), default=0))
+        spf = _spf
         for k in ints:
-            out = out / FactoredRatio.from_integer(k)
-        return out
+            if k == 0:
+                raise ValueError("zero has no factored form")
+            if k < 0:
+                sign, k = -sign, -k
+            if k > _SPF_LIMIT:
+                _merge(acc, factorize(k).pairs, scale)
+                continue
+            while k > 1:
+                p = spf[k]
+                acc[p] = acc.get(p, 0) + scale
+                k //= p
+        return self._with(acc, sign)
 
     @property
     def is_integral(self) -> bool:
         return self.sign > 0 and all(e >= 0 for _, e in self.factors)
 
-    def to_integer(self) -> int:
-        """The integer this ratio equals; :class:`NotAnInteger` otherwise."""
+    def _check_integral(self) -> None:
         if self.sign < 0:
             raise NotAnInteger(f"{self} is negative")
         for p, e in self.factors:
             if e < 0:
                 raise NotAnInteger(f"prime {p} has exponent {e}")
+
+    def to_integer(self) -> int:
+        """The integer this ratio equals; :class:`NotAnInteger` otherwise."""
+        self._check_integral()
         return math.prod(p**e for p, e in self.factors)
 
     def to_fraction(self) -> Fraction:
@@ -298,8 +334,9 @@ class FactoredRatio:
         return Fraction(self.sign * num, den)
 
     def factorization(self) -> Factorization:
-        """Factorization view of an integral ratio, with exponent checks."""
-        self.to_integer()
+        """Factorization of an integral ratio; :class:`NotAnInteger`
+        otherwise.  Needs no factoring: the primes are already known."""
+        self._check_integral()
         return Factorization(self.factors)
 
     def __str__(self) -> str:
@@ -318,17 +355,25 @@ def factorial_ratio(
     Exponents come from Legendre's formula applied per prime, so no big
     factorial is ever multiplied out.
     """
-    nums = [int(a) for a in numerators]
-    dens = [int(b) for b in denominators]
-    if any(a < 0 for a in nums + dens):
+    weight: dict[int, int] = {}
+    for a in numerators:
+        weight[int(a)] = weight.get(int(a), 0) + 1
+    for b in denominators:
+        weight[int(b)] = weight.get(int(b), 0) - 1
+    if any(a < 0 for a in weight):
         raise ValueError("factorials of negative integers are undefined")
-    top = max(nums + dens, default=0)
-    acc: dict[int, int] = {}
-    for p in primes_up_to(top):
-        e = sum(_legendre(a, p) for a in nums) - sum(_legendre(b, p) for b in dens)
+    # Equal factorials above and below cancel, and a! holds no prime above
+    # a, so each prime visits only the arguments at least as large.
+    terms = sorted((a, w) for a, w in weight.items() if w and a > 1)
+    factors = []
+    lo = 0
+    for p in primes_up_to(terms[-1][0] if terms else 0):
+        while terms[lo][0] < p:
+            lo += 1
+        e = sum(w * _legendre(a, p) for a, w in terms[lo:])
         if e:
-            acc[p] = e
-    return FactoredRatio(tuple(sorted(acc.items())), 1)
+            factors.append((p, e))
+    return FactoredRatio(tuple(factors), 1)
 
 
 def binomial_ratio(n: int, k: int) -> FactoredRatio:

@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Sequence
 
-from .arith import Factorization, factorize
+from .arith import FactoredRatio
 from .count import count_syt, enumerate_syt
 from .formulas import (
     binomial,
@@ -21,9 +21,13 @@ from .formulas import (
     coeff_c,
     coeff_d,
     frobenius_young,
+    frobenius_young_ratio,
     rectangle_count,
+    rectangle_ratio,
     schur_count,
+    schur_ratio,
     staircase_count,
+    staircase_ratio,
     sum_identity_rect,
     sum_identity_shifted,
 )
@@ -44,16 +48,17 @@ from .shapes import (
 )
 from .truncated import (
     conjecture_square_minus_two,
-    count_rect_minus_corner,
-    count_rect_minus_square,
-    count_rect_minus_square_plus1,
-    count_stair_minus_corner,
-    count_stair_minus_square,
-    count_stair_minus_square_plus1,
+    conjecture_square_minus_two_ratio,
+    rect_minus_corner_ratio,
+    rect_minus_square_plus1_ratio,
     rect_minus_square_plus1_region,
+    rect_minus_square_ratio,
     rect_minus_square_region,
     square_minus_two_region,
+    stair_minus_corner_ratio,
+    stair_minus_square_plus1_ratio,
     stair_minus_square_plus1_region,
+    stair_minus_square_ratio,
     stair_minus_square_region,
     theorem_rect_sum,
     theorem_rect_sum_direct,
@@ -97,8 +102,24 @@ def _check_budget(n_cells: int) -> None:
         )
 
 
+def _decimal(v: int) -> str:
+    """Decimal digits of ``v`` at any length.
+
+    Lifts the interpreter's int-to-str digit limit for this one conversion
+    and puts the limit back as it found it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return str(v)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fmt_count(v: int) -> str:
-    s = str(v)
+    s = _decimal(v)
     if len(s) > WIDE_COUNT_DIGITS:
         return f"{s} ({len(s)} digits)"
     return s
@@ -119,38 +140,38 @@ def _match_plus1(kappa: tuple[int, ...]) -> int | None:
     return None
 
 
-def formula_count(desc: ShapeDescriptor) -> tuple[str, int] | None:
-    """Closed-form count for a descriptor, as (family label, value), or
+def formula_count(desc: ShapeDescriptor) -> tuple[str, FactoredRatio] | None:
+    """Closed-form count for a descriptor, as (family label, ratio), or
     None when the shape matches no known family.
     """
     if desc.family == "part":
-        return ("frobenius-young", frobenius_young(desc.lam))
+        return ("frobenius-young", frobenius_young_ratio(desc.lam))
     if desc.family == "shifted":
-        return ("schur", schur_count(desc.lam))
+        return ("schur", schur_ratio(desc.lam))
     kappa = desc.kappa.parts
     if desc.family == "stair":
         m = desc.m
         if not kappa:
-            return ("staircase", staircase_count(m))
+            return ("staircase", staircase_ratio(m))
         k = _match_sq(kappa)
         if k is not None and m - 2 * k >= 0:
-            return ("stair-sq", count_stair_minus_square(m - 2 * k, k))
+            return ("stair-sq", stair_minus_square_ratio(m - 2 * k, k))
         k = _match_plus1(kappa)
         if k is not None and m - 2 * k >= 0:
-            return ("stair-sq+1", count_stair_minus_square_plus1(m - 2 * k, k))
+            return ("stair-sq+1", stair_minus_square_plus1_ratio(m - 2 * k, k))
         return None
     if desc.family == "rect":
         m, n = desc.m, desc.n
         if not kappa:
-            return ("rectangle", rectangle_count(m, n))
+            return ("rectangle", rectangle_ratio(m, n))
         if kappa == (2,) and m == n and n >= 2:
-            return ("square-minus-two CONJECTURE", conjecture_square_minus_two(n))
+            return ("square-minus-two CONJECTURE", conjecture_square_minus_two_ratio(n))
         k = _match_sq(kappa)
         if k is not None and m - k >= 0 and n - k >= 0:
-            return ("rect-sq", count_rect_minus_square(m - k, n - k, k))
+            return ("rect-sq", rect_minus_square_ratio(m - k, n - k, k))
         k = _match_plus1(kappa)
         if k is not None and m - k >= 0 and n - k >= 0:
-            return ("rect-sq+1", count_rect_minus_square_plus1(m - k, n - k, k))
+            return ("rect-sq+1", rect_minus_square_plus1_ratio(m - k, n - k, k))
         return None
     return None
 
@@ -183,7 +204,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         hit = formula_count(desc)
         if hit is None:
             raise NoFormulaAvailable(f"no closed form for {desc.text}")
-        label, formula_value = hit
+        label, formula_value = hit[0], hit[1].to_integer()
         oracle_value = count_syt(region)
         print(f"formula[{label}] {_fmt_count(formula_value)}")
         print(f"oracle {_fmt_count(oracle_value)}")
@@ -199,10 +220,10 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.method == "formula":
         if hit is None:
             raise NoFormulaAvailable(f"no closed form for {desc.text}")
-        print(_fmt_count(hit[1]))
+        print(_fmt_count(hit[1].to_integer()))
         return 0
     # auto: formula when available, else brute force
-    print(_fmt_count(hit[1] if hit is not None else count_syt(region)))
+    print(_fmt_count(hit[1].to_integer() if hit is not None else count_syt(region)))
     return 0
 
 
@@ -212,8 +233,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
     hit = None if args.method == "oracle" else formula_count(desc)
     if args.method == "formula" and hit is None:
         raise NoFormulaAvailable(f"no closed form for {desc.text}")
-    value = hit[1] if hit is not None else count_syt(region)
-    fac = factorize(value) if value > 0 else Factorization()
+    # Only an oracle count has to be factored; a closed form carries its primes.
+    ratio = hit[1] if hit is not None else FactoredRatio.from_integer(count_syt(region))
+    value, fac = ratio.to_integer(), ratio.factorization()
     n_cells = region.size
     print(f"count {_fmt_count(value)}")
     print(f"factorization {fac}")
@@ -233,17 +255,18 @@ def _print_check(label: str, lhs: int, rhs: int) -> int:
 
 def _verify_sum_shifted(args) -> int:
     m = _require(args, "m")
-    ts = range(m * (m + 1) // 2 + 1) if args.t is None else [args.t]
     want = staircase_count(m)
-    bad = [t for t in ts if sum_identity_shifted(m, t) != want]
     if args.t is not None:
         return _print_check(
             f"identity sum-shifted m={m} t={args.t}",
             sum_identity_shifted(m, args.t),
             want,
         )
+    bad = [
+        t for t in range(m * (m + 1) // 2 + 1) if sum_identity_shifted(m, t) != want
+    ]
     print(f"identity sum-shifted m={m} all t")
-    print(f"RHS {want}")
+    print(f"RHS {_decimal(want)}")
     print("PASS" if not bad else f"FAIL at t={bad}")
     return 0 if not bad else 1
 
@@ -259,7 +282,7 @@ def _verify_sum_rect(args) -> int:
         )
     bad = [t for t in range(m * n + 1) if sum_identity_rect(m, n, t) != want]
     print(f"identity sum-rect m={m} n={n} all t")
-    print(f"RHS {want}")
+    print(f"RHS {_decimal(want)}")
     print("PASS" if not bad else f"FAIL at t={bad}")
     return 0 if not bad else 1
 
@@ -273,7 +296,7 @@ def _verify_coeff_c(args) -> int:
     for lam in strict_partitions_in_staircase(m, size=t):
         lam_c = complement_in_staircase(lam, m)
         lhs = schur_count(union(mu, lam)) * schur_count(union(mu, lam_c))
-        rhs = c.times(schur_count(lam)).times(schur_count(lam_c)).to_integer()
+        rhs = (c * schur_ratio(lam) * schur_ratio(lam_c)).to_integer()
         n_seen += 1
         if lhs != rhs:
             failures.append((lam, lhs, rhs))
@@ -304,8 +327,8 @@ def _verify_coeff_d(args) -> int:
         lhs = frobenius_young(union(alpha, lam)) * frobenius_young(
             union(beta, lam_c)
         )
-        rhs = d.times(frobenius_young(lam)).times(
-            frobenius_young(lam_c)
+        rhs = (
+            d * frobenius_young_ratio(lam) * frobenius_young_ratio(lam_c)
         ).to_integer()
         n_seen += 1
         if lhs != rhs:
@@ -428,7 +451,7 @@ _SCAN_FAMILIES = (
 )
 
 
-def _scan_rows(args) -> list[tuple[dict, int, int]]:
+def _scan_rows(args) -> list[tuple[dict, int, FactoredRatio]]:
     fam = args.family
 
     def need(name) -> list[int]:
@@ -437,7 +460,7 @@ def _scan_rows(args) -> list[tuple[dict, int, int]]:
             raise UnknownIdentity(f"family {fam!r} needs --{name}")
         return values
 
-    rows: list[tuple[dict, int, int]] = []
+    rows: list[tuple[dict, int, FactoredRatio]] = []
     if fam in ("stair-sq", "stair-sq+1"):
         sq = fam == "stair-sq"
         for m in need("m"):
@@ -448,9 +471,9 @@ def _scan_rows(args) -> list[tuple[dict, int, int]]:
                     else stair_minus_square_plus1_region(m, k)
                 )
                 value = (
-                    count_stair_minus_square(m, k)
+                    stair_minus_square_ratio(m, k)
                     if sq
-                    else count_stair_minus_square_plus1(m, k)
+                    else stair_minus_square_plus1_ratio(m, k)
                 )
                 rows.append(({"m": m, "k": k}, region.size, value))
     elif fam in ("rect-sq", "rect-sq+1"):
@@ -464,9 +487,9 @@ def _scan_rows(args) -> list[tuple[dict, int, int]]:
                         else rect_minus_square_plus1_region(m, n, k)
                     )
                     value = (
-                        count_rect_minus_square(m, n, k)
+                        rect_minus_square_ratio(m, n, k)
                         if sq
-                        else count_rect_minus_square_plus1(m, n, k)
+                        else rect_minus_square_plus1_ratio(m, n, k)
                     )
                     rows.append(
                         ({"m": m, "n": n, "k": k}, region.size, value)
@@ -474,18 +497,20 @@ def _scan_rows(args) -> list[tuple[dict, int, int]]:
     elif fam == "stair-corner":
         for m in need("m"):
             region = stair_minus_square_region(m, 2)
-            rows.append(({"m": m}, region.size, count_stair_minus_corner(m)))
+            rows.append(({"m": m}, region.size, stair_minus_corner_ratio(m)))
     elif fam == "rect-corner":
         for m in need("m"):
             for n in need("n"):
                 region = rect_minus_square_region(m, n, 2)
                 rows.append(
-                    ({"m": m, "n": n}, region.size, count_rect_minus_corner(m, n))
+                    ({"m": m, "n": n}, region.size, rect_minus_corner_ratio(m, n))
                 )
     elif fam == "square-minus-two":
         for n in need("n"):
             region = square_minus_two_region(n)
-            rows.append(({"n": n}, region.size, conjecture_square_minus_two(n)))
+            rows.append(
+                ({"n": n}, region.size, conjecture_square_minus_two_ratio(n))
+            )
     elif fam == "stair-trunc":
         kappa = Partition(args.kappa or ())
         for m in need("m"):
@@ -495,7 +520,7 @@ def _scan_rows(args) -> list[tuple[dict, int, int]]:
                 (
                     {"m": m, "kappa": list(kappa.parts)},
                     region.size,
-                    count_syt(region),
+                    FactoredRatio.from_integer(count_syt(region)),
                 )
             )
     elif fam == "rect-trunc":
@@ -508,7 +533,7 @@ def _scan_rows(args) -> list[tuple[dict, int, int]]:
                     (
                         {"m": m, "n": n, "kappa": list(kappa.parts)},
                         region.size,
-                        count_syt(region),
+                        FactoredRatio.from_integer(count_syt(region)),
                     )
                 )
     return rows
@@ -529,15 +554,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
     header = ("family", "params", "N", "count", "largest_prime", "n_smooth")
     table = []
     records = []
-    for params, n_cells, value in rows:
-        fac = factorize(value)
+    for params, n_cells, ratio in rows:
+        fac = ratio.factorization()
+        digits = _decimal(ratio.to_integer())
         smooth = fac.largest_prime <= n_cells
         table.append(
             (
                 args.family,
                 _fmt_params(params),
                 str(n_cells),
-                str(value),
+                digits,
                 str(fac.largest_prime),
                 "yes" if smooth else "no",
             )
@@ -547,7 +573,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 "family": args.family,
                 "params": params,
                 "N": n_cells,
-                "count": str(value),
+                "count": digits,
                 "largest_prime": fac.largest_prime,
                 "n_smooth": smooth,
             }

@@ -37,11 +37,9 @@ def frobenius_young_ratio(lam: PartitionLike) -> FactoredRatio:
     lam = coerce_partition(lam)
     parts = lam.parts
     m = len(parts)
-    ratio = factorial_ratio([lam.size], [parts[i] + m - i - 1 for i in range(m)])
-    for i in range(m):
-        for j in range(i + 1, m):
-            ratio = ratio.times(parts[i] - parts[j] + j - i)
-    return ratio
+    return factorial_ratio(
+        [lam.size], [parts[i] + m - i - 1 for i in range(m)]
+    ).times(*(parts[i] - parts[j] + j - i for i in range(m) for j in range(i + 1, m)))
 
 
 def frobenius_young(lam: PartitionLike) -> int:
@@ -55,11 +53,12 @@ def schur_ratio(lam: PartitionLike) -> FactoredRatio:
     """
     lam = coerce_strict(lam)
     parts = lam.parts
-    ratio = factorial_ratio([lam.size], list(parts))
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            ratio = ratio.times(parts[i] - parts[j]).over(parts[i] + parts[j])
-    return ratio
+    pairs = [(a, b) for i, a in enumerate(parts) for b in parts[i + 1 :]]
+    return (
+        factorial_ratio([lam.size], list(parts))
+        .times(*(a - b for a, b in pairs))
+        .over(*(a + b for a, b in pairs))
+    )
 
 
 def schur_count(lam: PartitionLike) -> int:

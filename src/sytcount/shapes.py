@@ -213,32 +213,63 @@ def partitions_in_box(m: int, n: int, size: int | None = None) -> Iterator[Parti
     """All partitions with at most ``m`` parts, each at most ``n``.
 
     Yields in depth-first order starting from the empty partition; pass
-    ``size`` to filter by number of cells.
+    ``size`` to keep only partitions of that many cells.  Subtrees that
+    cannot reach ``size`` or already pass it are never entered.
     """
 
-    def rec(max_part: int, rows_left: int, prefix: list[int]) -> Iterator[Partition]:
-        p = Partition(tuple(prefix))
-        if size is None or p.size == size:
-            yield p
+    def rec(
+        max_part: int, rows_left: int, prefix: list[int], cells: int
+    ) -> Iterator[Partition]:
+        if size is None or cells == size:
+            yield Partition(tuple(prefix))
         if rows_left == 0:
             return
-        for nxt in range(max_part, 0, -1):
+        hi, lo = max_part, 1
+        if size is not None:
+            # the next part p leaves room for at most p * (rows_left - 1) more
+            hi = min(max_part, size - cells)
+            lo = max(1, -(-(size - cells) // rows_left))
+        for nxt in range(hi, lo - 1, -1):
             prefix.append(nxt)
-            yield from rec(nxt, rows_left - 1, prefix)
+            yield from rec(nxt, rows_left - 1, prefix, cells + nxt)
             prefix.pop()
 
-    yield from rec(n, m, [])
+    yield from rec(n, m, [], 0)
 
 
 def strict_partitions_in_staircase(
     m: int, size: int | None = None
 ) -> Iterator[StrictPartition]:
-    """All strict partitions whose parts lie in ``{1..m}``."""
+    """All strict partitions whose parts lie in ``{1..m}``.
+
+    Yields by number of parts, then in lexicographically decreasing order;
+    pass ``size`` to keep only partitions of that many cells.  Prefixes
+    that cannot reach ``size`` or already pass it are never extended.
+    """
+    if size is None:
+        for k in range(m + 1):
+            for combo in combinations(range(m, 0, -1), k):
+                yield StrictPartition(combo)
+        return
+
+    def rec(k: int, max_part: int, rest: int, prefix: list[int]):
+        # k distinct parts <= max_part sum to at most k*max_part - k(k-1)/2
+        # and at least k(k+1)/2
+        if k == 0:
+            if rest == 0:
+                yield StrictPartition(tuple(prefix))
+            return
+        for part in range(min(max_part, rest), k - 1, -1):
+            if part * k - k * (k - 1) // 2 < rest:
+                return
+            if (k - 1) * k // 2 > rest - part:
+                continue
+            prefix.append(part)
+            yield from rec(k - 1, part - 1, rest - part, prefix)
+            prefix.pop()
+
     for k in range(m + 1):
-        for combo in combinations(range(m, 0, -1), k):
-            sp = StrictPartition(combo)
-            if size is None or sp.size == size:
-                yield sp
+        yield from rec(k, m, size, [])
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .shapes import (
 )
 
 
-def theorem_staircase_sum(mu: PartitionLike, m: int) -> int:
+def theorem_staircase_sum_ratio(mu: PartitionLike, m: int) -> FactoredRatio:
     """Closed form for ``sum over lam in the order-m staircase of
     g(mu | lam) * g(mu | lam_c)``, for strict ``mu`` with parts above ``m``.
 
@@ -49,12 +49,15 @@ def theorem_staircase_sum(mu: PartitionLike, m: int) -> int:
         raise PartTooSmall(f"every part of {mu} must exceed {m}")
     big = m * (m + 1) // 2
     u = mu.size
-    ratio = (
+    return (
         schur_ratio(union(mu, staircase(m)))
         * schur_ratio(mu)
         * factorial_ratio([big + 2 * u + 1, u], [big + u, 2 * u + 1])
     )
-    return ratio.to_integer()
+
+
+def theorem_staircase_sum(mu: PartitionLike, m: int) -> int:
+    return theorem_staircase_sum_ratio(mu, m).to_integer()
 
 
 def theorem_staircase_sum_direct(mu: PartitionLike, m: int) -> int:
@@ -69,7 +72,9 @@ def theorem_staircase_sum_direct(mu: PartitionLike, m: int) -> int:
     return total
 
 
-def theorem_rect_sum(mu: PartitionLike, k: int, m: int, n: int) -> int:
+def theorem_rect_sum_ratio(
+    mu: PartitionLike, k: int, m: int, n: int
+) -> FactoredRatio:
     """Closed form for ``sum over lam in the m x n box of
     f((mu + n^k) | lam) * f((mu + m^k) | lam_c)``.
 
@@ -83,7 +88,7 @@ def theorem_rect_sum(mu: PartitionLike, k: int, m: int, n: int) -> int:
         raise ValueError(f"{mu} has more than {k} parts")
     u = mu.size
     top = m * n + 2 * u + (m + n) * k + 1
-    ratio = (
+    return (
         frobenius_young_ratio(mu + Partition((m + n,) * k))
         * frobenius_young_ratio(mu)
         * rectangle_ratio(m, n)
@@ -92,7 +97,10 @@ def theorem_rect_sum(mu: PartitionLike, k: int, m: int, n: int) -> int:
             [m * n, top - m * n, u + (m + n) * k, u],
         )
     )
-    return ratio.to_integer()
+
+
+def theorem_rect_sum(mu: PartitionLike, k: int, m: int, n: int) -> int:
+    return theorem_rect_sum_ratio(mu, k, m, n).to_integer()
 
 
 def theorem_rect_sum_direct(mu: PartitionLike, k: int, m: int, n: int) -> int:
@@ -174,7 +182,7 @@ def square_minus_two_region(n: int) -> CellRegion:
     return truncated_rectangle_region(n, n, Partition((2,)))
 
 
-def count_stair_minus_square_plus1(m: int, k: int) -> int:
+def stair_minus_square_plus1_ratio(m: int, k: int) -> FactoredRatio:
     """Tableaux of the staircase sq+1 family, via the summation theorem
     applied to the prefix (m+k, ..., m+1).
     """
@@ -182,10 +190,14 @@ def count_stair_minus_square_plus1(m: int, k: int) -> int:
         raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
     mu = stair_plus1_mu(m, k)
     assert mu.size == k * (2 * m + k + 1) // 2
-    return theorem_staircase_sum(mu, m)
+    return theorem_staircase_sum_ratio(mu, m)
 
 
-def count_stair_minus_square(m: int, k: int) -> int:
+def count_stair_minus_square_plus1(m: int, k: int) -> int:
+    return stair_minus_square_plus1_ratio(m, k).to_integer()
+
+
+def stair_minus_square_ratio(m: int, k: int) -> FactoredRatio:
     """Tableaux of the staircase sq family, via the summation theorem
     applied to the prefix (m+k+1, ..., m+3, m+1).
     """
@@ -193,10 +205,14 @@ def count_stair_minus_square(m: int, k: int) -> int:
         raise ValueError(f"need m >= 0 and k >= 2, got m={m}, k={k}")
     mu = stair_sq_mu(m, k)
     assert mu.size == k * (2 * m + k + 3) // 2 - 1
-    return theorem_staircase_sum(mu, m)
+    return theorem_staircase_sum_ratio(mu, m)
 
 
-def count_stair_minus_corner(m: int) -> int:
+def count_stair_minus_square(m: int, k: int) -> int:
+    return stair_minus_square_ratio(m, k).to_integer()
+
+
+def stair_minus_corner_ratio(m: int) -> FactoredRatio:
     """Staircase of order m + 4 minus one corner cell, fully factored.
 
     ``N! * 4(2m+3) / ((4m+9)! (m+3)) * prod_{i<m} i!/(2i+1)!`` with
@@ -205,13 +221,16 @@ def count_stair_minus_corner(m: int) -> int:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     top = (m + 3) * (m + 6) // 2
-    ratio = factorial_ratio(
+    return factorial_ratio(
         [top] + list(range(m)), [4 * m + 9] + [2 * i + 1 for i in range(m)]
     ).times(4, 2 * m + 3).over(m + 3)
-    return ratio.to_integer()
 
 
-def count_stair_minus_substaircase2(m: int) -> int:
+def count_stair_minus_corner(m: int) -> int:
+    return stair_minus_corner_ratio(m).to_integer()
+
+
+def stair_minus_substaircase2_ratio(m: int) -> FactoredRatio:
     """Staircase of order m + 4 minus the substaircase (2, 1), factored.
 
     ``N! * 2 / ((4m+7)! (m+2)) * prod_{i<m} i!/(2i+1)!`` with
@@ -220,13 +239,16 @@ def count_stair_minus_substaircase2(m: int) -> int:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     top = (m + 2) * (m + 7) // 2
-    ratio = factorial_ratio(
+    return factorial_ratio(
         [top] + list(range(m)), [4 * m + 7] + [2 * i + 1 for i in range(m)]
     ).times(2).over(m + 2)
-    return ratio.to_integer()
 
 
-def count_rect_minus_square_plus1(m: int, n: int, k: int) -> int:
+def count_stair_minus_substaircase2(m: int) -> int:
+    return stair_minus_substaircase2_ratio(m).to_integer()
+
+
+def rect_minus_square_plus1_ratio(m: int, n: int, k: int) -> FactoredRatio:
     """Tableaux of the rectangle sq+1 family, fully factored.
 
     ``N! (mk)! (nk)! / ((mk+nk+1)!) * F_m F_n F_k / F_{m+n+k}`` with
@@ -235,14 +257,17 @@ def count_rect_minus_square_plus1(m: int, n: int, k: int) -> int:
     if m < 0 or n < 0 or k < 1:
         raise ValueError(f"need m, n >= 0 and k >= 1, got m={m}, n={n}, k={k}")
     top = m * n + (m + n) * k + 1
-    ratio = factorial_ratio(
+    return factorial_ratio(
         [top, m * k, n * k] + list(range(m)) + list(range(n)) + list(range(k)),
         [(m + n) * k + 1] + list(range(m + n + k)),
     )
-    return ratio.to_integer()
 
 
-def count_rect_minus_square(m: int, n: int, k: int) -> int:
+def count_rect_minus_square_plus1(m: int, n: int, k: int) -> int:
+    return rect_minus_square_plus1_ratio(m, n, k).to_integer()
+
+
+def rect_minus_square_ratio(m: int, n: int, k: int) -> FactoredRatio:
     """Tableaux of the rectangle sq family, fully factored.
 
     ``N! (mk+k-1)! (nk+k-1)! (m+n+1)! k / ((mk+nk+2k-1)!)
@@ -251,15 +276,18 @@ def count_rect_minus_square(m: int, n: int, k: int) -> int:
     if m < 0 or n < 0 or k < 2:
         raise ValueError(f"need m, n >= 0 and k >= 2, got m={m}, n={n}, k={k}")
     top = m * n + (m + n) * k + 2 * k - 1
-    ratio = factorial_ratio(
+    return factorial_ratio(
         [top, m * k + k - 1, n * k + k - 1, m + n + 1]
         + list(range(m)) + list(range(n)) + list(range(k - 1)),
         [(m + n) * k + 2 * k - 1] + list(range(m + n + k + 1)),
     ).times(k)
-    return ratio.to_integer()
 
 
-def count_rect_minus_corner(m: int, n: int) -> int:
+def count_rect_minus_square(m: int, n: int, k: int) -> int:
+    return rect_minus_square_ratio(m, n, k).to_integer()
+
+
+def rect_minus_corner_ratio(m: int, n: int) -> FactoredRatio:
     """(m+2) x (n+2) rectangle minus one corner cell, fully factored.
 
     ``N! (2m+1)! (2n+1)! * 2 / ((2m+2n+3)! (m+n+2)) * F_m F_n / F_{m+n+2}``
@@ -269,14 +297,17 @@ def count_rect_minus_corner(m: int, n: int) -> int:
     if m < 0 or n < 0:
         raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
     top = m * n + 2 * m + 2 * n + 3
-    ratio = factorial_ratio(
+    return factorial_ratio(
         [top, 2 * m + 1, 2 * n + 1] + list(range(m)) + list(range(n)),
         [2 * m + 2 * n + 3] + list(range(m + n + 2)),
     ).times(2).over(m + n + 2)
-    return ratio.to_integer()
 
 
-def conjecture_square_minus_two(n: int) -> int:
+def count_rect_minus_corner(m: int, n: int) -> int:
+    return rect_minus_corner_ratio(m, n).to_integer()
+
+
+def conjecture_square_minus_two_ratio(n: int) -> FactoredRatio:
     """CONJECTURE: n x n square minus two corner cells in the first row.
 
     ``(n^2-2)! ((3n-4)!)^2 * 6 / ((6n-8)! (2n-2)! ((n-2)!)^2)
@@ -288,8 +319,11 @@ def conjecture_square_minus_two(n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    ratio = factorial_ratio(
+    return factorial_ratio(
         [n * n - 2, 3 * n - 4, 3 * n - 4] + 2 * list(range(n - 2)),
         [6 * n - 8, 2 * n - 2, n - 2, n - 2] + list(range(2 * n - 4)),
     ).times(6)
-    return ratio.to_integer()
+
+
+def conjecture_square_minus_two(n: int) -> int:
+    return conjecture_square_minus_two_ratio(n).to_integer()

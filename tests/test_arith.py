@@ -128,6 +128,27 @@ class TestFactoredRatio:
         with pytest.raises(NotAnInteger):
             half.to_integer()
 
+    def test_batched_non_integral_raises(self):
+        # 2 * 3 * 5 * 7 / (4 * 9 * 7) = 5 / 6
+        r = FactoredRatio.one().times(2, 3, 5, 7).over(4, 9, 7)
+        assert r.to_fraction() == Fraction(5, 6)
+        with pytest.raises(NotAnInteger):
+            r.to_integer()
+        with pytest.raises(NotAnInteger):
+            r.factorization()
+        with pytest.raises(NotAnInteger):
+            factorial_ratio([5], [3]).times(2, 5).over(7, 3).factorization()
+
+    def test_batched_signs_and_large_factors(self):
+        big = 2**61 - 1  # prime, past the small-factor table
+        r = FactoredRatio.one().times(-6, big, -35).over(-10, 21)
+        assert (r.factors, r.sign) == (((big, 1),), -1)
+        with pytest.raises(NotAnInteger):
+            r.factorization()
+        assert FactoredRatio.from_integer(12 * big).factors == ((2, 2), (3, 1), (big, 1))
+        with pytest.raises(ValueError):
+            FactoredRatio.one().over(3, 0)
+
     def test_pow(self):
         assert (FactoredRatio.from_integer(6) ** 3).to_integer() == 216
         assert (FactoredRatio.from_integer(-2) ** 2).to_fraction() == 4

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from sytcount import arith, cli
+from sytcount.arith import factorize
 from sytcount.cli import ORACLE_LIMIT_ENV, _print_check, entry_point, main
 from sytcount.formulas import rectangle_count, staircase_count
 
@@ -57,6 +59,19 @@ class TestCount:
         assert code == 0
         assert out == f"{value} ({len(str(value))} digits)\n"
 
+    def test_counts_past_the_int_str_limit_print(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "count", "rect:70x70")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        digits, suffix = out.rstrip("\n").split(" ", 1)
+        assert len(digits) == 7157 and suffix == "(7157 digits)"
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(digits) == rectangle_count(70, 70)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_bad_shape_exits_2(self, capsys):
         code, _, err = run(capsys, "count", "blob:3")
         assert code == 2 and err.startswith("error:")
@@ -86,6 +101,83 @@ class TestFactor:
         assert lines["N_smooth"] == "no"
 
 
+def _family_kappa(sq: bool, k: int) -> str:
+    kappa = (k - 1,) * (k - 1) if sq else (k,) * (k - 1) + (k - 1,)
+    return ",".join(str(p) for p in kappa if p)
+
+
+def _with_kappa(base: str, kappa: str) -> str:
+    return f"{base}/{kappa}" if kappa else base
+
+
+# Descriptors of shapes the closed forms cover, by family.
+FAMILY_SHAPES = {
+    "stair-sq": [
+        _with_kappa(f"stair:{m + 2 * k}", _family_kappa(True, k))
+        for m in range(7) for k in range(2, 5)
+    ],
+    "stair-sq+1": [
+        _with_kappa(f"stair:{m + 2 * k}", _family_kappa(False, k))
+        for m in range(7) for k in range(1, 5)
+    ],
+    "rect-sq": [
+        _with_kappa(f"rect:{m + k}x{n + k}", _family_kappa(True, k))
+        for m in range(5) for n in range(5) for k in range(2, 5)
+    ],
+    "rect-sq+1": [
+        _with_kappa(f"rect:{m + k}x{n + k}", _family_kappa(False, k))
+        for m in range(5) for n in range(5) for k in range(1, 5)
+    ],
+    "stair-corner": [f"stair:{m + 4}/1" for m in range(11)],
+    "rect-corner": [f"rect:{m + 2}x{n + 2}/1" for m in range(6) for n in range(6)],
+    "square-minus-two": [f"rect:{n}x{n}/2" for n in range(2, 13)],
+    "part-shifted": [
+        "part:5,3,1", "part:12,12,7,3", "part:30,20,10,5,1",
+        "shifted:5,3,1", "shifted:12,9,4", "shifted:20,15,11,6,2",
+    ],
+}
+
+
+def _factor_fields(capsys, *argv: str) -> dict[str, str]:
+    code, out, _ = run(capsys, "factor", *argv)
+    assert code == 0
+    return dict(line.split(" ", 1) for line in out.splitlines())
+
+
+class TestFactorFromClosedForm:
+    @pytest.mark.parametrize("family", sorted(FAMILY_SHAPES))
+    def test_factorization_matches_factorize(self, capsys, family):
+        for shape in FAMILY_SHAPES[family]:
+            fields = _factor_fields(capsys, shape)
+            count = int(fields["count"].split(" ", 1)[0])
+            assert fields["factorization"] == str(factorize(count)), shape
+
+    def test_counts_never_refactored(self, capsys, monkeypatch):
+        seen = []
+        real = arith.factorize
+        monkeypatch.setattr(arith, "factorize", lambda v: seen.append(v) or real(v))
+        counts = set()
+        for shapes in FAMILY_SHAPES.values():
+            for shape in shapes:
+                counts.add(int(_factor_fields(capsys, shape)["count"].split(" ", 1)[0]))
+        for argv in (
+            ("--family", "stair-sq", "--m", "0..6", "--k", "2..4"),
+            ("--family", "stair-sq+1", "--m", "0..6", "--k", "1..4"),
+            ("--family", "rect-sq", "--m", "0..4", "--n", "0..4", "--k", "2..4"),
+            ("--family", "rect-sq+1", "--m", "0..4", "--n", "0..4", "--k", "1..4"),
+            ("--family", "stair-corner", "--m", "0..10"),
+            ("--family", "rect-corner", "--m", "0..5", "--n", "0..5"),
+            ("--family", "square-minus-two", "--n", "2..12"),
+        ):
+            code, out, _ = run(capsys, "scan", *argv, "--format", "json")
+            assert code == 0
+            counts.update(int(r["count"]) for r in json.loads(out))
+        assert not counts & set(seen)
+        # an oracle count is still factored, which shows the patch is live
+        oracle = _factor_fields(capsys, "rect:5x5/2", "--method", "oracle")
+        assert int(oracle["count"]) in seen
+
+
 class TestVerify:
     PASSING = [
         ("sum-shifted", "--m", "4"),
@@ -107,6 +199,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert out.splitlines()[-1] == "PASS"
+
+    def test_sum_shifted_single_t_sums_once(self, capsys, monkeypatch):
+        calls = []
+        real = cli.sum_identity_shifted
+        monkeypatch.setattr(
+            cli, "sum_identity_shifted", lambda m, t: calls.append((m, t)) or real(m, t)
+        )
+        code, out, _ = run(capsys, "verify", "sum-shifted", "--m", "5", "--t", "3")
+        assert code == 0 and out.splitlines()[-1] == "PASS"
+        assert calls == [(5, 3)]
 
     def test_coeff_c_reports_instances(self, capsys):
         _, out, _ = run(capsys, "verify", "coeff-c", "--mu", "4", "--m", "3", "--t", "3")

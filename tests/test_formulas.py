@@ -5,6 +5,7 @@ top of the cell-poset counter, so a shared bug in the library cannot hide.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,25 @@ def hook_count(lam):
     return math.factorial(lam.size) // hooks
 
 
+def shifted_hook_count(lam):
+    """Shifted hook product oracle, local to the tests.  The hook of cell
+    (i, j) holds the cells right of it, the cells below it, and all of row
+    j + 1."""
+    parts = lam.parts
+    hooks = 1
+    # 0-based: row i covers columns i .. i + parts[i] - 1
+    for i, p in enumerate(parts):
+        for j in range(i, i + p):
+            arm = i + p - 1 - j
+            rows_below = range(i + 1, min(j + 1, len(parts)))
+            leg = sum(1 for r in rows_below if r + parts[r] > j)
+            next_row = parts[j + 1] if j + 1 < len(parts) else 0
+            hooks *= arm + leg + 1 + next_row
+    count, rest = divmod(math.factorial(lam.size), hooks)
+    assert rest == 0
+    return count
+
+
 def all_partitions_of(n):
     return partitions_in_box(n, n, size=n)
 
@@ -71,6 +91,14 @@ class TestOrdinaryFormula:
     def test_empty(self):
         assert frobenius_young(()) == 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_hook_product_up_to_120_parts(self, seed):
+        rng = random.Random(seed)
+        n_parts = rng.randint(20 * seed + 1, 20 * seed + 20)
+        parts = sorted((rng.randint(1, 40) for _ in range(n_parts)), reverse=True)
+        lam = Partition(tuple(parts))
+        assert frobenius_young(lam) == hook_count(lam)
+
     def test_ratio_factors(self):
         f = frobenius_young_ratio((4, 4, 4)).factorization()
         assert f.value == 462
@@ -81,6 +109,18 @@ class TestShiftedFormula:
     def test_matches_counter(self):
         for lam in strict_partitions_in_staircase(6):
             assert schur_count(lam) == count_syt(shifted_region(lam))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_hook_product_up_to_120_parts(self, seed):
+        rng = random.Random(seed)
+        n_parts = rng.randint(20 * seed + 1, 20 * seed + 20)
+        parts = sorted(rng.sample(range(1, n_parts + 30), n_parts), reverse=True)
+        lam = StrictPartition(tuple(parts))
+        assert schur_count(lam) == shifted_hook_count(lam)
+
+    def test_shifted_hook_oracle(self):
+        for lam in strict_partitions_in_staircase(6):
+            assert shifted_hook_count(lam) == count_syt(shifted_region(lam))
 
     def test_known_values(self):
         assert schur_count(()) == 1

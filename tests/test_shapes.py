@@ -146,6 +146,33 @@ class TestIterators:
         sizes = [p.size for p in strict_partitions_in_staircase(3, size=3)]
         assert sizes and all(s == 3 for s in sizes)
 
+    def test_size_filter_keeps_unfiltered_order(self):
+        for m in range(6):
+            for n in range(6):
+                every = list(partitions_in_box(m, n))
+                for s in range(m * n + 2):
+                    assert list(partitions_in_box(m, n, size=s)) == [
+                        p for p in every if p.size == s
+                    ]
+            every = list(strict_partitions_in_staircase(m))
+            for s in range(m * (m + 1) // 2 + 2):
+                assert list(strict_partitions_in_staircase(m, size=s)) == [
+                    p for p in every if p.size == s
+                ]
+
+    def test_size_filter_prunes(self, monkeypatch):
+        built = []
+        post_init = Partition.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(Partition, "__post_init__", counting)
+        assert len(list(partitions_in_box(8, 8, size=4))) == 5
+        # the unpruned walk builds all C(16, 8) = 12,870 partitions
+        assert len(built) < 100
+
 
 class TestRegions:
     def test_ordinary(self):
