@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,12 +27,13 @@ _MR_BASES_WIDE = _MR_BASES_SMALL + (
 _MR_SMALL_BOUND = 3317044064679887385961981
 
 # Integers up to this bound are factored through the smallest-prime-factor
-# table; larger ones go through factorize.
-_SPF_LIMIT = 1 << 20
+# table; larger ones go through factorize.  Below 257**2 every composite
+# has a prime factor under 256, so the table fits in a bytearray.
+_SPF_LIMIT = 1 << 16
 
 _sieve_primes: list[int] = []
 _sieve_limit = 0
-_spf = array("I", [0, 1])
+_spf = bytearray(2)
 
 
 class NotAnInteger(ValueError):
@@ -55,15 +55,16 @@ def _extend_sieve(limit: int) -> None:
 
 
 def _extend_spf(limit: int) -> None:
-    """Grow the smallest-prime-factor table to cover ``0..limit``."""
+    """Grow the smallest-prime-factor table to cover ``0..limit``: entry k
+    is the smallest prime factor of a composite k, and 0 for a prime."""
     global _spf
     if limit < len(_spf):
         return
     size = min(max(limit + 1, 2 * len(_spf), 1024), _SPF_LIMIT + 1)
-    spf = array("I", range(size))
+    spf = bytearray(size)
     # Largest primes first, so each entry ends with its smallest prime.
     for p in reversed(primes_up_to(math.isqrt(size - 1))):
-        spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
+        spf[p * p :: p] = bytes([p]) * len(range(p * p, size, p))
     _spf = spf
 
 
@@ -307,7 +308,7 @@ class FactoredRatio:
                 _merge(acc, factorize(k).pairs, scale)
                 continue
             while k > 1:
-                p = spf[k]
+                p = spf[k] or k
                 acc[p] = acc.get(p, 0) + scale
                 k //= p
         return self._with(acc, sign)

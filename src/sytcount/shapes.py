@@ -253,8 +253,8 @@ def strict_partitions_in_staircase(
         return
 
     def rec(k: int, max_part: int, rest: int, prefix: list[int]):
-        # k distinct parts <= max_part sum to at most k*max_part - k(k-1)/2
-        # and at least k(k+1)/2
+        # k distinct parts led by `part` sum to at most part*k - k(k-1)/2,
+        # and the k - 1 parts after it to at least (k-1)k/2
         if k == 0:
             if rest == 0:
                 yield StrictPartition(tuple(prefix))

@@ -72,9 +72,7 @@ def theorem_staircase_sum_direct(mu: PartitionLike, m: int) -> int:
     return total
 
 
-def theorem_rect_sum_ratio(
-    mu: PartitionLike, k: int, m: int, n: int
-) -> FactoredRatio:
+def theorem_rect_sum_ratio(mu: PartitionLike, k: int, m: int, n: int) -> FactoredRatio:
     """Closed form for ``sum over lam in the m x n box of
     f((mu + n^k) | lam) * f((mu + m^k) | lam_c)``.
 
