@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import product
 from typing import Sequence
 
 from .arith import FactoredRatio
@@ -103,11 +104,8 @@ def _check_budget(n_cells: int) -> None:
 
 
 def _decimal(v: int) -> str:
-    """Decimal digits of ``v`` at any length.
-
-    Lifts the interpreter's int-to-str digit limit for this one conversion
-    and puts the limit back as it found it.
-    """
+    """Decimal digits of ``v`` at any length: the int-to-str digit limit is
+    lifted for this one conversion and then put back as it was."""
     if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
         return str(v)
     limit = sys.get_int_max_str_digits()
@@ -438,104 +436,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return handler(args)
 
 
-_SCAN_FAMILIES = (
-    "stair-sq",
-    "stair-sq+1",
-    "rect-sq",
-    "rect-sq+1",
-    "stair-corner",
-    "rect-corner",
-    "square-minus-two",
-    "stair-trunc",
-    "rect-trunc",
-)
+# Scan family -> (parameter names, region builder, closed form).  The two
+# families without a closed form take a truncation and count by the oracle.
+_SCAN_FAMILIES = {
+    "stair-sq": (("m", "k"), stair_minus_square_region, stair_minus_square_ratio),
+    "stair-sq+1": (
+        ("m", "k"), stair_minus_square_plus1_region, stair_minus_square_plus1_ratio
+    ),
+    "rect-sq": (("m", "n", "k"), rect_minus_square_region, rect_minus_square_ratio),
+    "rect-sq+1": (
+        ("m", "n", "k"), rect_minus_square_plus1_region, rect_minus_square_plus1_ratio
+    ),
+    "stair-corner": (
+        ("m",), lambda m: stair_minus_square_region(m, 2), stair_minus_corner_ratio
+    ),
+    "rect-corner": (
+        ("m", "n"),
+        lambda m, n: rect_minus_square_region(m, n, 2),
+        rect_minus_corner_ratio,
+    ),
+    "square-minus-two": (
+        ("n",), square_minus_two_region, conjecture_square_minus_two_ratio
+    ),
+    "stair-trunc": (("m",), truncated_staircase_region, None),
+    "rect-trunc": (("m", "n"), truncated_rectangle_region, None),
+}
 
 
 def _scan_rows(args) -> list[tuple[dict, int, FactoredRatio]]:
-    fam = args.family
-
-    def need(name) -> list[int]:
-        values = getattr(args, name)
-        if values is None:
-            raise UnknownIdentity(f"family {fam!r} needs --{name}")
-        return values
-
-    rows: list[tuple[dict, int, FactoredRatio]] = []
-    if fam in ("stair-sq", "stair-sq+1"):
-        sq = fam == "stair-sq"
-        for m in need("m"):
-            for k in need("k"):
-                region = (
-                    stair_minus_square_region(m, k)
-                    if sq
-                    else stair_minus_square_plus1_region(m, k)
-                )
-                value = (
-                    stair_minus_square_ratio(m, k)
-                    if sq
-                    else stair_minus_square_plus1_ratio(m, k)
-                )
-                rows.append(({"m": m, "k": k}, region.size, value))
-    elif fam in ("rect-sq", "rect-sq+1"):
-        sq = fam == "rect-sq"
-        for m in need("m"):
-            for n in need("n"):
-                for k in need("k"):
-                    region = (
-                        rect_minus_square_region(m, n, k)
-                        if sq
-                        else rect_minus_square_plus1_region(m, n, k)
-                    )
-                    value = (
-                        rect_minus_square_ratio(m, n, k)
-                        if sq
-                        else rect_minus_square_plus1_ratio(m, n, k)
-                    )
-                    rows.append(
-                        ({"m": m, "n": n, "k": k}, region.size, value)
-                    )
-    elif fam == "stair-corner":
-        for m in need("m"):
-            region = stair_minus_square_region(m, 2)
-            rows.append(({"m": m}, region.size, stair_minus_corner_ratio(m)))
-    elif fam == "rect-corner":
-        for m in need("m"):
-            for n in need("n"):
-                region = rect_minus_square_region(m, n, 2)
-                rows.append(
-                    ({"m": m, "n": n}, region.size, rect_minus_corner_ratio(m, n))
-                )
-    elif fam == "square-minus-two":
-        for n in need("n"):
-            region = square_minus_two_region(n)
-            rows.append(
-                ({"n": n}, region.size, conjecture_square_minus_two_ratio(n))
-            )
-    elif fam == "stair-trunc":
+    names, region_of, ratio_of = _SCAN_FAMILIES[args.family]
+    if ratio_of is None:
         kappa = Partition(args.kappa or ())
-        for m in need("m"):
-            region = truncated_staircase_region(m, kappa)
+    for name in names:
+        if getattr(args, name) is None:
+            raise UnknownIdentity(f"family {args.family!r} needs --{name}")
+    rows = []
+    for values in product(*(getattr(args, name) for name in names)):
+        params = dict(zip(names, values))
+        if ratio_of is None:
+            region = region_of(*values, kappa)
             _check_budget(region.size)
-            rows.append(
-                (
-                    {"m": m, "kappa": list(kappa.parts)},
-                    region.size,
-                    FactoredRatio.from_integer(count_syt(region)),
-                )
-            )
-    elif fam == "rect-trunc":
-        kappa = Partition(args.kappa or ())
-        for m in need("m"):
-            for n in need("n"):
-                region = truncated_rectangle_region(m, n, kappa)
-                _check_budget(region.size)
-                rows.append(
-                    (
-                        {"m": m, "n": n, "kappa": list(kappa.parts)},
-                        region.size,
-                        FactoredRatio.from_integer(count_syt(region)),
-                    )
-                )
+            params["kappa"] = list(kappa.parts)
+            ratio = FactoredRatio.from_integer(count_syt(region))
+        else:
+            region = region_of(*values)
+            ratio = ratio_of(*values)
+        rows.append((params, region.size, ratio))
     return rows
 
 
