@@ -1,12 +1,12 @@
 """Ground-truth counting and enumeration of standard fillings of a region.
 
 A standard filling places 1..N so labels grow along rows, down columns, and
-across every explicit precedence pair.  Because each region row is a
-contiguous interval and partial fillings always occupy a prefix of each
-row, a partial filling is summarized by its per-row fill counts.  The
-counter sweeps label by label over a dictionary of reachable fill profiles,
-which stays small (it is the set of order ideals of the cell poset) even
-when the number of fillings is astronomically large.
+across every explicit precedence pair.  The cells holding labels 1..k of a
+partial filling form an order ideal of the cell poset, and the counter
+stores each ideal as an int bitmask of cells.  It sweeps label by label
+over a dictionary from reachable ideals to the number of ways of reaching
+them, which stays small (it is the set of order ideals) even when the
+number of fillings is astronomically large.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .shapes import CellRegion, Tableau
-
-FillProfile = tuple[int, ...]
 
 
 class LabelSetMismatch(ValueError):
@@ -47,24 +45,61 @@ def _preconditions(region: CellRegion):
     return tuple(needs)
 
 
+def _cell_masks(region: CellRegion):
+    # Cell (r, c) is bit (r - 1) * width + c; column 0 of every row is
+    # padding, so a shift left by one never carries a row's last cell into
+    # the next row's first.
+    width = region.max_col + 1
+    full = no_left = no_up = 0
+    for r, (s, e) in enumerate(region.rows):
+        up = region.rows[r - 1] if r else (0, -1)
+        for c in range(s, e + 1):
+            bit = 1 << (r * width + c)
+            full |= bit
+            if c == s:
+                no_left |= bit
+            if not up[0] <= c <= up[1]:
+                no_up |= bit
+    # Each cell with extra-precedence sources maps to the mask of them;
+    # ``gated`` marks those cells.
+    sources: dict[int, int] = {}
+    gated = 0
+    for (sr, sc), (dr, dc) in region.extra_precedences:
+        bit = 1 << ((dr - 1) * width + dc)
+        sources[bit] = sources.get(bit, 0) | 1 << ((sr - 1) * width + sc)
+        gated |= bit
+    return width, full, no_left, no_up, gated, tuple(sources.items())
+
+
 def count_syt(region: CellRegion) -> int:
-    """Number of standard fillings of ``region``. Exact."""
-    nrows = region.num_rows
-    if nrows == 0:
-        return 1
-    lens = tuple(e - s + 1 for s, e in region.rows)
-    needs = _preconditions(region)
-    states: dict[FillProfile, int] = {(0,) * nrows: 1}
+    """Number of standard fillings of ``region``. Exact.
+
+    One step per order ideal of the cell poset plus one dictionary update
+    per addable cell, whatever the orientation of the region.  An ideal
+    ``S`` is a bitmask; its addable cells are those not in ``S`` whose left
+    and upper neighbours (where the region has them) are in ``S``, minus
+    any cell whose extra-precedence sources are not all in ``S``.
+    """
+    width, full, no_left, no_up, gated, sources = _cell_masks(region)
+    states = {0: 1}
     for _ in range(region.size):
-        nxt: dict[FillProfile, int] = {}
+        nxt: dict[int, int] = {}
+        get = nxt.get
         for state, ways in states.items():
-            for i in range(nrows):
-                f = state[i]
-                if f == lens[i]:
-                    continue
-                if all(state[j] >= need for j, need in needs[i][f]):
-                    succ = state[:i] + (f + 1,) + state[i + 1 :]
-                    nxt[succ] = nxt.get(succ, 0) + ways
+            addable = (
+                (full ^ state)
+                & ((state << 1) | no_left)
+                & ((state << width) | no_up)
+            )
+            if addable & gated:
+                for bit, need in sources:
+                    if addable & bit and state & need != need:
+                        addable ^= bit
+            while addable:
+                low = addable & -addable
+                succ = state | low
+                nxt[succ] = get(succ, 0) + ways
+                addable ^= low
         states = nxt
     (total,) = states.values()
     return total

@@ -322,13 +322,6 @@ class CellRegion:
     def max_col(self) -> int:
         return max((e for _, e in self.rows), default=0)
 
-    def row_interval(self, r: int) -> Interval:
-        return self.rows[r - 1]
-
-    def row_length(self, r: int) -> int:
-        s, e = self.rows[r - 1]
-        return e - s + 1
-
     def cells(self) -> Iterator[Cell]:
         for r, (s, e) in enumerate(self.rows, start=1):
             for c in range(s, e + 1):

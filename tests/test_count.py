@@ -1,7 +1,7 @@
-"""The profile-sweep counter, its DFS cross-check, and enumeration."""
+"""The order-ideal sweep, its DFS cross-check, and enumeration."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sytcount.count import (
     LabelSetMismatch,
@@ -21,6 +21,8 @@ from sytcount.shapes import (
     rotate180,
     shifted_region,
     strict_partitions_in_staircase,
+    truncated_rectangle_region,
+    truncated_staircase_region,
 )
 
 
@@ -117,6 +119,93 @@ class TestCounts:
             for lam in partitions_in_box(n, n, size=n)
         )
         assert total == math.factorial(n)
+
+
+MAX_CELLS = 12
+
+
+@st.composite
+def regions(draw):
+    """A region of at most ``MAX_CELLS`` cells in columns 1..6, with extra
+    precedences that each point forward in row-major order, so the cell
+    poset stays acyclic."""
+    rows = []
+    above: set[int] = set()  # columns of every row before the previous one
+    prev: set[int] = set()  # columns of the previous row
+    budget = MAX_CELLS
+    for _ in range(draw(st.integers(1, 5))):
+        # A column seen above may continue only from the row just above.
+        free = [c for c in range(1, 7) if c in prev or c not in above]
+        if budget == 0 or not free:
+            break
+        s = e = draw(st.sampled_from(free))
+        length = draw(st.integers(1, min(4, budget)))
+        while e - s + 1 < length and e + 1 in free:
+            e += 1
+        rows.append((s, e))
+        budget -= e - s + 1
+        above |= prev
+        prev = set(range(s, e + 1))
+    cells = sorted(CellRegion(tuple(rows)).cells())
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(cells), st.sampled_from(cells)), max_size=3
+        )
+    )
+    extra = frozenset((min(a, b), max(a, b)) for a, b in pairs if a != b)
+    return CellRegion(tuple(rows), extra)
+
+
+@st.composite
+def truncated_staircases(draw):
+    m = draw(st.integers(1, 5))
+    kappa = draw(
+        st.sampled_from(
+            [
+                lam
+                for lam in partitions_in_box(m - 1, m - 1)
+                if all(cut <= m - i for i, cut in enumerate(lam.parts, start=1))
+                and m * (m + 1) // 2 - lam.size <= MAX_CELLS
+            ]
+        )
+    )
+    return truncated_staircase_region(m, kappa)
+
+
+# Row 1 ends in column 2 and row 2 starts in column 3, so the pair
+# (1, 2) -> (2, 3) is the only link between the rows: 6 fillings become 1.
+LINKED_ROWS = CellRegion(((1, 2), (3, 4)), frozenset({((1, 2), (2, 3))}))
+
+
+class TestSweepProperties:
+    @settings(deadline=None)
+    @given(regions())
+    @example(LINKED_ROWS)
+    def test_random_regions(self, region):
+        assert count_syt(region) == count_syt_dfs(region)
+        turned = rotate180(region)
+        assert count_syt(turned) == count_syt_dfs(turned)
+
+    @given(truncated_staircases())
+    @example(build_region("stair:3/2"))
+    def test_truncated_staircases(self, region):
+        assert count_syt(region) == count_syt_dfs(region)
+        turned = rotate180(region)
+        assert count_syt(turned) == count_syt_dfs(turned)
+
+    def test_linked_rows_precedence_is_not_redundant(self):
+        assert count_syt(LINKED_ROWS) == 1
+        assert count_syt(CellRegion(LINKED_ROWS.rows)) == 6
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_conjugation(self, m, n, data):
+        kappa = data.draw(st.sampled_from(list(partitions_in_box(m, n))))
+        kappa_t = Partition(
+            tuple(sum(1 for p in kappa.parts if p >= c) for c in range(1, n + 1))
+        )
+        assert count_syt(truncated_rectangle_region(m, n, kappa)) == count_syt(
+            truncated_rectangle_region(n, m, kappa_t)
+        )
 
 
 class TestDiagonalPrecedences:
