@@ -51,10 +51,10 @@ def _cell_masks(region: CellRegion):
     # the next row's first.
     width = region.max_col + 1
     full = no_left = no_up = 0
-    for r, (s, e) in enumerate(region.rows):
-        up = region.rows[r - 1] if r else (0, -1)
+    for i, (s, e) in enumerate(region.rows):
+        up = region.rows[i - 1] if i else (0, -1)
         for c in range(s, e + 1):
-            bit = 1 << (r * width + c)
+            bit = 1 << (i * width + c)
             full |= bit
             if c == s:
                 no_left |= bit

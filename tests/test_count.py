@@ -184,14 +184,14 @@ class TestSweepProperties:
     def test_random_regions(self, region):
         assert count_syt(region) == count_syt_dfs(region)
         turned = rotate180(region)
-        assert count_syt(turned) == count_syt_dfs(turned)
+        assert count_syt(turned) == count_syt_dfs(turned) == count_syt(region)
 
     @given(truncated_staircases())
     @example(build_region("stair:3/2"))
     def test_truncated_staircases(self, region):
         assert count_syt(region) == count_syt_dfs(region)
         turned = rotate180(region)
-        assert count_syt(turned) == count_syt_dfs(turned)
+        assert count_syt(turned) == count_syt_dfs(turned) == count_syt(region)
 
     def test_linked_rows_precedence_is_not_redundant(self):
         assert count_syt(LINKED_ROWS) == 1
