@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -197,8 +198,8 @@ def _int_range(text: str) -> list[int]:
 
 def cmd_count(args: argparse.Namespace) -> int:
     desc = parse_descriptor(args.shape)
-    region = desc.region()
     if args.check:
+        region = desc.region()
         hit = formula_count(desc)
         if hit is None:
             raise NoFormulaAvailable(f"no closed form for {desc.text}")
@@ -212,16 +213,20 @@ def cmd_count(args: argparse.Namespace) -> int:
         print("OK")
         return 0
     if args.method == "oracle":
-        print(_fmt_count(count_syt(region)))
+        print(_fmt_count(count_syt(desc.region())))
         return 0
+    # The formula route never needs the cells.  Every descriptor a closed
+    # form matches builds a region, so an invalid one reaches desc.region()
+    # below and fails there with the same message as on the other routes.
     hit = formula_count(desc)
-    if args.method == "formula":
-        if hit is None:
-            raise NoFormulaAvailable(f"no closed form for {desc.text}")
+    if hit is not None:
         print(_fmt_count(hit[1].to_integer()))
         return 0
-    # auto: formula when available, else brute force
-    print(_fmt_count(hit[1].to_integer() if hit is not None else count_syt(region)))
+    region = desc.region()
+    if args.method == "formula":
+        raise NoFormulaAvailable(f"no closed form for {desc.text}")
+    # auto: brute force when no closed form applies
+    print(_fmt_count(count_syt(region)))
     return 0
 
 
@@ -562,7 +567,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sytcount`` argument parser, built once per process.
+
+    Every default is immutable and no action appends to one, so parsing
+    leaves the parser as it was and each call to :func:`main` can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="sytcount",
         description="Exact counting of standard Young tableaux of ordinary, "

@@ -11,6 +11,8 @@ number of fillings is astronomically large.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import lt
 from typing import Iterator
 
 from .shapes import CellRegion, Tableau
@@ -180,20 +182,22 @@ def is_valid_tableau(t: Tableau) -> bool:
 
     Raises :class:`LabelSetMismatch` when the labels are not exactly 1..N;
     returns False when the labels are right but some order is violated.
+    Columns are contiguous in a :class:`CellRegion`, so the column order is
+    checked between each pair of adjacent rows over their shared columns.
     """
-    n = t.size
-    seen = sorted(lbl for _, lbl in t.labels())
-    if seen != list(range(1, n + 1)):
-        raise LabelSetMismatch(f"labels are not 1..{n}")
-    for row in t.rows:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return False
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), lbl in t.labels():
-        columns.setdefault(c, []).append((r, lbl))
-    for entries in columns.values():
-        entries.sort()
-        if any(l1 >= l2 for (_, l1), (_, l2) in zip(entries, entries[1:])):
+    rows = t.rows
+    if sorted(chain.from_iterable(rows)) != list(range(1, t.size + 1)):
+        raise LabelSetMismatch(f"labels are not 1..{t.size}")
+    if not all(all(map(lt, row, row[1:])) for row in rows):
+        return False
+    intervals = t.region.rows
+    for (s0, e0), upper, (s1, e1), lower in zip(
+        intervals, rows, intervals[1:], rows[1:]
+    ):
+        lo, hi = max(s0, s1), min(e0, e1)
+        if lo <= hi and not all(
+            map(lt, upper[lo - s0 : hi - s0 + 1], lower[lo - s1 :])
+        ):
             return False
     for src, dst in t.region.extra_precedences:
         if t.label_at(*src) >= t.label_at(*dst):

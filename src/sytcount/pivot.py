@@ -7,6 +7,13 @@ anti-diagonal of the bounding box, which turns its reversed order back
 into row/column growth; the result is translated to standard position and
 classified as an ordinary, shifted, or general region.
 
+Pieces are built row by row: the cells a piece keeps are gathered as
+(column, label) pairs per row, and their label tuples become the piece's
+rows.  The few outlines that recur (ordinary or shifted diagrams in
+standard position) come from a small bounded cache, so a split does not
+rebuild and revalidate the same region for every tableau.  Every piece and
+every reassembled tableau still goes through ``is_valid_tableau``.
+
 ``split_threshold`` cuts a full rectangle or full shifted staircase at a
 fixed label and is invertible (``unsplit_threshold``).  ``split_pivot``
 cuts at the label of a distinguished boundary cell of a truncated shape;
@@ -17,12 +24,14 @@ complementary-pair summation identities into counts of truncated shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .count import count_syt, enumerate_syt, is_valid_tableau
 from .formulas import PartTooSmall, frobenius_young, schur_count
 from .shapes import (
     Cell,
     CellRegion,
+    Interval,
     Partition,
     PartitionLike,
     Precedence,
@@ -90,8 +99,32 @@ def _flavor_of(region: CellRegion) -> str:
     return "auto"
 
 
+# Row-label pairs of a piece before translation: row -> [(column, label),
+# ...] with each row's columns increasing.
+_PieceRows = dict[int, list[tuple[int, int]]]
+
+
+@lru_cache(maxsize=256)
+def _plain_region(flavor: str, intervals: tuple[Interval, ...]) -> CellRegion | None:
+    """The ordinary or shifted region with these row intervals, as far as
+    ``flavor`` allows one, or None for a general outline.
+    """
+    # A split of one region yields the same few piece outlines over and
+    # over; the bound keeps splits of many large regions from holding memory.
+    lengths = tuple(e - s + 1 for s, e in intervals)
+    if flavor != "shifted" and all(s == 1 for s, _ in intervals):
+        if all(a >= b for a, b in zip(lengths, lengths[1:])):
+            return ordinary_region(Partition(lengths))
+    if flavor != "ordinary" and all(
+        s == i for i, (s, _) in enumerate(intervals, start=1)
+    ):
+        if all(a > b for a, b in zip(lengths, lengths[1:])):
+            return shifted_region(StrictPartition(lengths))
+    return None
+
+
 def _assemble(
-    cells: dict[Cell, int], pairs: list[Precedence], flavor: str
+    by_row: _PieceRows, pairs: list[Precedence], flavor: str
 ) -> Tableau:
     """Build a standalone tableau from a coherent set of labeled cells.
 
@@ -99,82 +132,82 @@ def _assemble(
     validity; a failed check means the cells did not come from a split of
     a standard tableau.
     """
-    if not cells:
-        empty = shifted_region(()) if flavor == "shifted" else ordinary_region(())
-        return Tableau(empty, ())
-    by_row: dict[int, list[int]] = {}
-    for r, c in cells:
-        by_row.setdefault(r, []).append(c)
+    if not by_row:
+        return Tableau(_plain_region(flavor, ()), ())
     row_ids = sorted(by_row)
     if row_ids[-1] - row_ids[0] + 1 != len(row_ids):
         raise ShapeError("piece has a gap between rows")
     dr = 1 - row_ids[0]
     intervals = []
     for r in row_ids:
-        cols = sorted(by_row[r])
-        if cols[-1] - cols[0] + 1 != len(cols):
+        entries = by_row[r]
+        first, last = entries[0][0], entries[-1][0]
+        if last - first + 1 != len(entries):
             raise ShapeError(f"piece row {r} is not contiguous")
-        intervals.append((cols[0], cols[-1]))
+        intervals.append((first, last))
     dc = 1 - min(s for s, _ in intervals)
-    intervals = [(s + dc, e + dc) for s, e in intervals]
-    starts = [s for s, _ in intervals]
-    lengths = [e - s + 1 for s, e in intervals]
-    ordinary_ok = all(s == 1 for s in starts) and all(
-        a >= b for a, b in zip(lengths, lengths[1:])
-    )
-    shifted_ok = all(s == i for i, s in enumerate(starts, start=1)) and all(
-        a > b for a, b in zip(lengths, lengths[1:])
-    )
-    if flavor == "ordinary" and ordinary_ok:
-        region = ordinary_region(Partition(tuple(lengths)))
-    elif flavor == "shifted" and shifted_ok:
-        region = shifted_region(StrictPartition(tuple(lengths)))
-    elif flavor == "auto" and ordinary_ok:
-        region = ordinary_region(Partition(tuple(lengths)))
-    elif flavor == "auto" and shifted_ok:
-        region = shifted_region(StrictPartition(tuple(lengths)))
-    else:
+    intervals = tuple((s + dc, e + dc) for s, e in intervals)
+    region = _plain_region(flavor, intervals)
+    if region is None:
         moved_pairs = frozenset(
             ((a[0] + dr, a[1] + dc), (b[0] + dr, b[1] + dc)) for a, b in pairs
         )
-        region = CellRegion(tuple(intervals), moved_pairs, "general")
-    mapping = {(r + dr, c + dc): lbl for (r, c), lbl in cells.items()}
-    piece = Tableau.from_labels(region, mapping)
+        region = CellRegion(intervals, moved_pairs, "general")
+    rows = tuple(tuple(lbl for _, lbl in by_row[r]) for r in row_ids)
+    piece = Tableau(region, rows)
     if not is_valid_tableau(piece):
         raise ShapeError("split produced an invalid filling")
     return piece
 
 
 def _low_piece(t: Tableau, bound: int, flavor: str) -> Tableau:
-    cells = {cell: lbl for cell, lbl in t.labels() if lbl <= bound}
+    by_row: _PieceRows = {}
+    for r, ((s, _), row) in enumerate(zip(t.region.rows, t.rows), start=1):
+        kept = [(s + j, lbl) for j, lbl in enumerate(row) if lbl <= bound]
+        if kept:
+            by_row[r] = kept
     pairs = [
         (a, b)
         for a, b in t.region.extra_precedences
-        if a in cells and b in cells
+        if t.label_at(*a) <= bound and t.label_at(*b) <= bound
     ]
-    return _assemble(cells, pairs, flavor)
+    return _assemble(by_row, pairs, flavor)
+
+
+def _reflected(
+    t: Tableau, height: int, width: int, total: int, bound: int | None = None
+) -> _PieceRows:
+    """Cells of ``t`` labeled above ``bound`` (all of them when it is None),
+    reflected across the anti-diagonal of a ``height x width`` box:
+    ``(r, c)`` goes to ``(width + 1 - c, height + 1 - r)`` and ``label`` to
+    ``total + 1 - label``.
+    """
+    # Columns become rows; walking the rows bottom-up fills each reflected
+    # row in increasing column order.
+    by_row: _PieceRows = {}
+    for r in range(t.region.num_rows, 0, -1):
+        s, _ = t.region.rows[r - 1]
+        col = height + 1 - r
+        for j, lbl in enumerate(t.rows[r - 1]):
+            if bound is None or lbl > bound:
+                by_row.setdefault(width + 1 - s - j, []).append((col, total + 1 - lbl))
+    return by_row
 
 
 def _high_piece(t: Tableau, bound: int, flavor: str) -> Tableau:
-    total = t.size
     nrows, ncols = t.region.num_rows, t.region.max_col
 
     def reflect(cell: Cell) -> Cell:
         r, c = cell
         return (ncols + 1 - c, nrows + 1 - r)
 
-    cells = {
-        reflect(cell): total + 1 - lbl
-        for cell, lbl in t.labels()
-        if lbl > bound
-    }
     kept = [
         (a, b)
         for a, b in t.region.extra_precedences
         if t.label_at(*a) > bound and t.label_at(*b) > bound
     ]
     pairs = [(reflect(b), reflect(a)) for a, b in kept]
-    return _assemble(cells, pairs, flavor)
+    return _assemble(_reflected(t, nrows, ncols, t.size, bound), pairs, flavor)
 
 
 def split_threshold(t: Tableau, thresh: int) -> SplitResult:
@@ -216,14 +249,31 @@ def unsplit_threshold(split: SplitResult, region: CellRegion) -> Tableau:
     if split.first.size != split.t or split.second.size != total - split.t:
         raise IncompatibleShapes("piece sizes do not match the threshold")
     nrows, ncols = region.num_rows, region.max_col
-    mapping: dict[Cell, int] = {}
-    for cell, lbl in split.first.labels():
-        mapping[cell] = lbl
-    for (r, c), lbl in split.second.labels():
-        mapping[(nrows + 1 - c, ncols + 1 - r)] = total + 1 - lbl
-    if len(mapping) != total or set(mapping) != set(region.cells()):
+    slots: list[list[int | None]] = [[None] * (e - s + 1) for s, e in region.rows]
+    placed = 0
+    low = {
+        r: list(zip(range(s, e + 1), row))
+        for r, ((s, e), row) in enumerate(
+            zip(split.first.region.rows, split.first.rows), start=1
+        )
+    }
+    for by_row in (low, _reflected(split.second, ncols, nrows, total)):
+        for r, entries in by_row.items():
+            if not 1 <= r <= nrows:
+                raise IncompatibleShapes("pieces do not tile the region")
+            s, e = region.rows[r - 1]
+            row = slots[r - 1]
+            for c, lbl in entries:
+                if not s <= c <= e:
+                    raise IncompatibleShapes("pieces do not tile the region")
+                if row[c - s] is None:
+                    placed += 1
+                row[c - s] = lbl
+    # The piece sizes add up to the region's, so an overlap leaves a slot
+    # empty and shows as a short count.
+    if placed != total:
         raise IncompatibleShapes("pieces do not tile the region")
-    out = Tableau.from_labels(region, mapping)
+    out = Tableau(region, tuple(tuple(row) for row in slots))
     if not is_valid_tableau(out):
         raise IncompatibleShapes("pieces tile the region but break the order")
     return out

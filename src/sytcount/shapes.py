@@ -11,6 +11,7 @@ otherwise disconnect consecutive diagonal cells).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
@@ -314,11 +315,11 @@ class CellRegion:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(e - s + 1 for s, e in self.rows)
 
-    @property
+    @cached_property
     def max_col(self) -> int:
         return max((e for _, e in self.rows), default=0)
 
@@ -499,7 +500,7 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         if len(rows) != self.region.num_rows:
             raise ShapeError("row count does not match the region")
         for row, (s, e) in zip(rows, self.region.rows):

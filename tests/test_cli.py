@@ -9,6 +9,7 @@ from sytcount import arith, cli
 from sytcount.arith import factorize
 from sytcount.cli import ORACLE_LIMIT_ENV, _print_check, entry_point, main
 from sytcount.formulas import rectangle_count, staircase_count
+from sytcount.shapes import ShapeDescriptor
 
 
 def run(capsys, *argv):
@@ -77,6 +78,37 @@ class TestCount:
         assert code == 2 and err.startswith("error:")
         code, _, err = run(capsys, "count", "part:1,a")
         assert code == 2 and err.startswith("error:")
+
+    INVALID = [
+        ("rect:3x3/4", "truncation (4) does not fit inside 3x3"),
+        ("stair:4/4", "truncation (4) would empty row 1 of the staircase of order 4"),
+        ("rect:3x3/1,1,1,1", "truncation (1,1,1,1) does not fit inside 3x3"),
+        ("part:3,4", "parts must be weakly decreasing: (3, 4)"),
+        ("shifted:2,2", "parts must be strictly decreasing: (2, 2)"),
+        ("stair:-1", "staircase order must be nonnegative: -1"),
+        ("rect:-1x3", "rectangle sides must be nonnegative: -1x3"),
+    ]
+
+    @pytest.mark.parametrize("method", ["auto", "formula"])
+    @pytest.mark.parametrize("shape,message", INVALID)
+    def test_invalid_descriptor_message(self, capsys, shape, message, method):
+        result = run(capsys, "count", shape, "--method", method)
+        assert result == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("method", ["auto", "formula"])
+    @pytest.mark.parametrize("shape", ["rect:0x0", "stair:0"])
+    def test_empty_shapes(self, capsys, shape, method):
+        assert run(capsys, "count", shape, "--method", method) == (0, "1\n", "")
+
+    def test_formula_route_builds_no_region(self, capsys, monkeypatch):
+        def no_region(desc):
+            raise AssertionError(f"built the region of {desc.text}")
+
+        monkeypatch.setattr(ShapeDescriptor, "region", no_region)
+        for shape in ("rect:70x70", "stair:6/1", "part:3,3", "shifted:3,1", "rect:3x3/2"):
+            for method in ("auto", "formula"):
+                code, out, _ = run(capsys, "count", shape, "--method", method)
+                assert code == 0 and out.strip(), (shape, method)
 
 
 class TestFactor:
@@ -335,3 +367,42 @@ class TestEntryPoint:
             entry_point()
         assert info.value.code == 0
         assert capsys.readouterr().out == "2\n"
+
+
+class TestParserReuse:
+    # Each call must see only its own arguments: the plain count after
+    # --check prints no check, and the bare verify after one with --m and
+    # --n still misses them.
+    SEQUENCE = [
+        ("count", "part:3,2,1", "--check"),
+        ("count", "part:3,2,1"),
+        ("verify", "sum-rect", "--m", "2", "--n", "3", "--t", "2"),
+        ("verify", "sum-rect"),
+        ("count", "part:3,2", "--method", "bogus"),
+        ("scan", "--family", "stair-corner", "--m", "0..2"),
+    ]
+
+    @staticmethod
+    def outcomes(capsys, fresh: bool) -> list:
+        results = []
+        for argv in TestParserReuse.SEQUENCE:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_shared_parser_matches_fresh_parsers(self, capsys):
+        fresh = self.outcomes(capsys, fresh=True)
+        cli.build_parser.cache_clear()
+        shared = self.outcomes(capsys, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 0, 2, ("exit", 2), 0]
+        assert shared[1][1] == "16\n"
+        assert "needs --m" in shared[3][2]

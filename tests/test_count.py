@@ -1,5 +1,7 @@
 """The order-ideal sweep, its DFS cross-check, and enumeration."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -273,3 +275,81 @@ class TestValidity:
         region = build_region("stair:3/2")
         assert is_valid_tableau(Tableau(region, ((1,), (2, 3), (4,))))
         assert not is_valid_tableau(Tableau(region, ((2,), (1, 3), (4,))))
+
+
+def reference_is_valid_tableau(t: Tableau) -> bool:
+    """The per-column check that ``is_valid_tableau`` replaced: sort each
+    column's labels by row and compare neighbours."""
+    n = t.size
+    seen = sorted(lbl for _, lbl in t.labels())
+    if seen != list(range(1, n + 1)):
+        raise LabelSetMismatch(f"labels are not 1..{n}")
+    for row in t.rows:
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return False
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for (r, c), lbl in t.labels():
+        columns.setdefault(c, []).append((r, lbl))
+    for entries in columns.values():
+        entries.sort()
+        if any(l1 >= l2 for (_, l1), (_, l2) in zip(entries, entries[1:])):
+            return False
+    for src, dst in t.region.extra_precedences:
+        if t.label_at(*src) >= t.label_at(*dst):
+            return False
+    return True
+
+
+def _verdict(check, t):
+    try:
+        return check(t)
+    except LabelSetMismatch:
+        return "mismatch"
+
+
+@st.composite
+def fillings(draw):
+    """A region with extra precedences, a truncated staircase or a shifted
+    diagram, filled with a permutation of 1..N, a random label multiset, or
+    a standard filling with labels k and k + 1 swapped."""
+    region = draw(
+        st.one_of(
+            regions(),
+            truncated_staircases(),
+            st.sampled_from(list(strict_partitions_in_staircase(4))).map(
+                shifted_region
+            ),
+        )
+    )
+    n = region.size
+    how = draw(st.sampled_from(["permutation", "multiset", "swap"]))
+    if how == "permutation":
+        labels = draw(st.permutations(range(1, n + 1)))
+    elif how == "multiset":
+        labels = draw(st.lists(st.integers(0, n + 1), min_size=n, max_size=n))
+    else:
+        index = draw(st.integers(0, min(count_syt(region), 50) - 1))
+        t = next(islice(enumerate_syt(region), index, None))
+        k = draw(st.integers(0, n))  # 0 and n leave the filling standard
+        swap = {k: k + 1, k + 1: k} if 1 <= k < n else {}
+        labels = [swap.get(lbl, lbl) for row in t.rows for lbl in row]
+    rows, i = [], 0
+    for s, e in region.rows:
+        rows.append(tuple(labels[i : i + e - s + 1]))
+        i += e - s + 1
+    return Tableau(region, tuple(rows))
+
+
+class TestValidityAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(fillings())
+    @example(Tableau(LINKED_ROWS, ((1, 2), (3, 4))))
+    @example(Tableau(LINKED_ROWS, ((1, 3), (2, 4))))
+    @example(Tableau(CellRegion(((3, 4), (1, 2))), ((3, 4), (1, 2))))
+    def test_same_verdict(self, t):
+        assert _verdict(is_valid_tableau, t) == _verdict(reference_is_valid_tableau, t)
+
+    def test_every_standard_filling_passes(self):
+        for descriptor in ("stair:5/2", "rect:3x4/2,1", "shifted:5,3,1"):
+            for t in enumerate_syt(build_region(descriptor)):
+                assert is_valid_tableau(t) and reference_is_valid_tableau(t)

@@ -19,6 +19,7 @@ from sytcount.pivot import (
     verify_pivot_identity_staircase,
 )
 from sytcount.shapes import (
+    CellRegion,
     Partition,
     StrictPartition,
     Tableau,
@@ -66,10 +67,13 @@ class TestThresholdSplit:
         split = split_threshold(STAIR5_T, 7)
         assert unsplit_threshold(split, STAIR5) == STAIR5_T
 
-    @pytest.mark.parametrize("descriptor", ["stair:4", "rect:2x3", "rect:3x3"])
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["stair:4", "rect:2x3", "rect:3x3", "rect:3x4", "rect:4x3", "stair:5"],
+    )
     def test_round_trip_everywhere(self, descriptor):
         region = build_region(descriptor)
-        for t in list(enumerate_syt(region))[:40]:
+        for t in enumerate_syt(region):
             for thresh in range(region.size + 1):
                 split = split_threshold(t, thresh)
                 assert split.first.size == thresh
@@ -144,6 +148,44 @@ class TestUnsplitErrors:
         with pytest.raises(IncompatibleShapes):
             unsplit_threshold(split, other)
 
+    # In the 2 x 3 rectangle the low piece below covers (1,1), (1,2) and
+    # (2,1); the high piece reflects back through (r, c) -> (3 - c, 4 - r).
+    LOW = Tableau(ordinary_region(Partition((2, 1))), ((1, 2), (3,)))
+
+    def test_matching_pieces_reassemble(self):
+        high = Tableau(ordinary_region(Partition((2, 1))), ((1, 3), (2,)))
+        out = unsplit_threshold(SplitResult(3, self.LOW, high), build_region("rect:2x3"))
+        assert out.rows == ((1, 2, 4), (3, 5, 6))
+
+    @pytest.mark.parametrize(
+        "high_rows",
+        [
+            ((1,), (2,), (3,)),  # lands on (2,3), (2,2), (2,1): (1,3) stays empty
+            ((1,), (2,), (4,)),  # same cells, and (2,1) gets the low piece's label 3
+        ],
+    )
+    def test_overlap_in_one_cell(self, high_rows):
+        high = Tableau(ordinary_region(Partition((1, 1, 1))), high_rows)
+        with pytest.raises(IncompatibleShapes, match="do not tile"):
+            unsplit_threshold(SplitResult(3, self.LOW, high), build_region("rect:2x3"))
+
+    def test_cell_outside_the_region(self):
+        # lands on (2,3), (1,3) and the missing row 0: (2,2) stays empty
+        high = Tableau(ordinary_region(Partition((3,))), ((1, 2, 3),))
+        with pytest.raises(IncompatibleShapes, match="do not tile"):
+            unsplit_threshold(SplitResult(3, self.LOW, high), build_region("rect:2x3"))
+
+    def test_low_piece_past_a_row_end(self):
+        low = Tableau(ordinary_region(Partition((4,))), ((1, 2, 3, 4),))
+        high = Tableau(ordinary_region(Partition((2,))), ((1, 2),))
+        with pytest.raises(IncompatibleShapes, match="do not tile"):
+            unsplit_threshold(SplitResult(4, low, high), build_region("rect:2x3"))
+
+    def test_pieces_that_tile_but_break_the_order(self):
+        high = Tableau(ordinary_region(Partition((2, 1))), ((2, 3), (1,)))
+        with pytest.raises(IncompatibleShapes, match="break the order"):
+            unsplit_threshold(SplitResult(3, self.LOW, high), build_region("rect:2x3"))
+
     def test_target_must_be_full(self):
         split = split_threshold(STAIR5_T, 7)
         with pytest.raises(UnsupportedRegion):
@@ -200,6 +242,29 @@ class TestPivotSplit:
             (11, 15),
             (14,),
         )
+
+    def test_general_pieces_keep_moved_precedences(self):
+        region = build_region("stair:5/2")  # rows (1,3), (2,5), (3,5), (4,5), (5,5)
+        t = Tableau(region, ((1, 2, 3), (4, 5, 6, 7), (8, 9, 10), (11, 12), (13,)))
+        # Pivot (2,5) holds 7; rows of lengths 3, 3 are not a shifted shape,
+        # so the low piece is general and keeps the diagonal pair inside it.
+        split = split_pivot(t, (2, 5))
+        assert split.first.region == CellRegion(
+            ((1, 3), (2, 4)), frozenset({((1, 1), (2, 2))}), "general"
+        )
+        assert split.first.rows == ((1, 2, 3), (4, 5, 6))
+        assert piece_shape(split.second) == StrictPartition((3, 2, 1))
+        assert split.second.rows == ((1, 2, 4), (3, 5), (6,))
+        # Pivot (1,1) holds 1; the high piece is everything else, reflected,
+        # and the three diagonal pairs it keeps are reflected with it.
+        split = split_pivot(t, (1, 1))
+        assert split.first.size == 0
+        assert split.second.region == CellRegion(
+            ((1, 4), (2, 4), (3, 5), (4, 5)),
+            frozenset({((1, 1), (2, 2)), ((2, 2), (3, 3)), ((3, 3), (4, 4))}),
+            "general",
+        )
+        assert split.second.rows == ((1, 2, 4, 7), (3, 5, 8), (6, 9, 11), (10, 12))
 
     def test_piece_shape_rejects_general(self):
         split = split_pivot(RECT58_T, (3, 5))
