@@ -22,12 +22,12 @@ from .formulas import (
     binomial_convolution_lhs,
     coeff_c,
     coeff_d,
-    frobenius_young,
     frobenius_young_ratio,
+    rect_pair_terms,
     rectangle_count,
     rectangle_ratio,
-    schur_count,
     schur_ratio,
+    stair_pair_terms,
     staircase_count,
     staircase_ratio,
     sum_identity_rect,
@@ -39,29 +39,14 @@ from .shapes import (
     ShapeDescriptor,
     ShapeError,
     StrictPartition,
-    complement_in_rectangle,
-    complement_in_staircase,
     parse_descriptor,
-    partitions_in_box,
-    strict_partitions_in_staircase,
     truncated_rectangle_region,
     truncated_staircase_region,
-    union,
 )
 from .truncated import (
+    FAMILIES,
     conjecture_square_minus_two,
-    conjecture_square_minus_two_ratio,
-    rect_minus_corner_ratio,
-    rect_minus_square_plus1_ratio,
-    rect_minus_square_plus1_region,
-    rect_minus_square_ratio,
-    rect_minus_square_region,
     square_minus_two_region,
-    stair_minus_corner_ratio,
-    stair_minus_square_plus1_ratio,
-    stair_minus_square_plus1_region,
-    stair_minus_square_ratio,
-    stair_minus_square_region,
     theorem_rect_sum,
     theorem_rect_sum_direct,
     theorem_staircase_sum,
@@ -124,55 +109,28 @@ def _fmt_count(v: int) -> str:
     return s
 
 
-def _match_sq(kappa: tuple[int, ...]) -> int | None:
-    # ((k-1)^(k-1)) for some k >= 2
-    if kappa and len(set(kappa)) == 1 and len(kappa) == kappa[0]:
-        return kappa[0] + 1
-    return None
-
-
-def _match_plus1(kappa: tuple[int, ...]) -> int | None:
-    # (k^(k-1), k-1) for some k >= 2
-    k = kappa[0] if kappa else 0
-    if k >= 2 and kappa == (k,) * (k - 1) + (k - 1,):
-        return k
-    return None
-
-
-def formula_count(desc: ShapeDescriptor) -> tuple[str, FactoredRatio] | None:
-    """Closed-form count for a descriptor, as (family label, ratio), or
-    None when the shape matches no known family.
+def formula_count(desc: ShapeDescriptor) -> tuple[str, FactoredRatio, bool] | None:
+    """Closed-form count for a descriptor, as (family name, ratio, whether
+    the form is conjectural), or None when the shape matches no family.
     """
     if desc.family == "part":
-        return ("frobenius-young", frobenius_young_ratio(desc.lam))
+        return ("frobenius-young", frobenius_young_ratio(desc.lam), False)
     if desc.family == "shifted":
-        return ("schur", schur_ratio(desc.lam))
-    kappa = desc.kappa.parts
-    if desc.family == "stair":
-        m = desc.m
-        if not kappa:
-            return ("staircase", staircase_ratio(m))
-        k = _match_sq(kappa)
-        if k is not None and m - 2 * k >= 0:
-            return ("stair-sq", stair_minus_square_ratio(m - 2 * k, k))
-        k = _match_plus1(kappa)
-        if k is not None and m - 2 * k >= 0:
-            return ("stair-sq+1", stair_minus_square_plus1_ratio(m - 2 * k, k))
-        return None
-    if desc.family == "rect":
-        m, n = desc.m, desc.n
-        if not kappa:
-            return ("rectangle", rectangle_ratio(m, n))
-        if kappa == (2,) and m == n and n >= 2:
-            return ("square-minus-two CONJECTURE", conjecture_square_minus_two_ratio(n))
-        k = _match_sq(kappa)
-        if k is not None and m - k >= 0 and n - k >= 0:
-            return ("rect-sq", rect_minus_square_ratio(m - k, n - k, k))
-        k = _match_plus1(kappa)
-        if k is not None and m - k >= 0 and n - k >= 0:
-            return ("rect-sq+1", rect_minus_square_plus1_ratio(m - k, n - k, k))
-        return None
+        return ("schur", schur_ratio(desc.lam), False)
+    if not desc.kappa.parts:
+        if desc.family == "stair":
+            return ("staircase", staircase_ratio(desc.m), False)
+        return ("rectangle", rectangle_ratio(desc.m, desc.n), False)
+    for family in FAMILIES.values():
+        params = family.match(desc) if family.match else None
+        if params is not None:
+            return (family.name, family.ratio(*params), family.conjectural)
     return None
+
+
+def _note_conjecture(name: str, conjectural: bool) -> None:
+    if conjectural:
+        print(f"note: {name} closed form is a CONJECTURE (unproved)", file=sys.stderr)
 
 
 def _mu_tuple(text: str) -> tuple[int, ...]:
@@ -203,10 +161,12 @@ def cmd_count(args: argparse.Namespace) -> int:
         hit = formula_count(desc)
         if hit is None:
             raise NoFormulaAvailable(f"no closed form for {desc.text}")
-        label, formula_value = hit[0], hit[1].to_integer()
-        oracle_value = count_syt(region)
+        name, ratio, conjectural = hit
+        formula_value, oracle_value = ratio.to_integer(), count_syt(region)
+        label = f"{name} CONJECTURE" if conjectural else name
         print(f"formula[{label}] {_fmt_count(formula_value)}")
         print(f"oracle {_fmt_count(oracle_value)}")
+        _note_conjecture(name, conjectural)
         if formula_value != oracle_value:
             print("MISMATCH")
             return 1
@@ -221,6 +181,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     hit = formula_count(desc)
     if hit is not None:
         print(_fmt_count(hit[1].to_integer()))
+        _note_conjecture(hit[0], hit[2])
         return 0
     region = desc.region()
     if args.method == "formula":
@@ -232,19 +193,25 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     desc = parse_descriptor(args.shape)
-    region = desc.region()
+    # As in cmd_count, only the routes that need the cells build the region;
+    # the formula route reads the cell count off the descriptor.
     hit = None if args.method == "oracle" else formula_count(desc)
-    if args.method == "formula" and hit is None:
-        raise NoFormulaAvailable(f"no closed form for {desc.text}")
-    # Only an oracle count has to be factored; a closed form carries its primes.
-    ratio = hit[1] if hit is not None else FactoredRatio.from_integer(count_syt(region))
+    if hit is not None:
+        ratio, n_cells = hit[1], desc.size
+    else:
+        region = desc.region()
+        if args.method == "formula":
+            raise NoFormulaAvailable(f"no closed form for {desc.text}")
+        # Only an oracle count has to be factored; a closed form carries its primes.
+        ratio, n_cells = FactoredRatio.from_integer(count_syt(region)), region.size
     value, fac = ratio.to_integer(), ratio.factorization()
-    n_cells = region.size
     print(f"count {_fmt_count(value)}")
     print(f"factorization {fac}")
     print(f"largest_prime {fac.largest_prime}")
     print(f"N {n_cells}")
     print(f"N_smooth {'yes' if fac.largest_prime <= n_cells else 'no'}")
+    if hit is not None:
+        _note_conjecture(hit[0], hit[2])
     return 0
 
 
@@ -256,93 +223,65 @@ def _print_check(label: str, lhs: int, rhs: int) -> int:
     return 0 if lhs == rhs else 1
 
 
-def _verify_sum_shifted(args) -> int:
-    m = _require(args, "m")
-    want = staircase_count(m)
-    if args.t is not None:
-        return _print_check(
-            f"identity sum-shifted m={m} t={args.t}",
-            sum_identity_shifted(m, args.t),
-            want,
-        )
-    bad = [
-        t for t in range(m * (m + 1) // 2 + 1) if sum_identity_shifted(m, t) != want
-    ]
-    print(f"identity sum-shifted m={m} all t")
+def _verify_sum(label: str, want: int, top: int, sum_at, t: int | None) -> int:
+    """Check ``sum_at(t) == want`` at size ``t``, or at every size up to ``top``."""
+    if t is not None:
+        return _print_check(f"{label} t={t}", sum_at(t), want)
+    bad = [s for s in range(top + 1) if sum_at(s) != want]
+    print(f"{label} all t")
     print(f"RHS {_decimal(want)}")
     print("PASS" if not bad else f"FAIL at t={bad}")
     return 0 if not bad else 1
+
+
+def _verify_sum_shifted(args) -> int:
+    m = _require(args, "m")
+    return _verify_sum(
+        f"identity sum-shifted m={m}", staircase_count(m), m * (m + 1) // 2,
+        lambda t: sum_identity_shifted(m, t), args.t,
+    )
 
 
 def _verify_sum_rect(args) -> int:
     m, n = _require(args, "m"), _require(args, "n")
-    want = rectangle_count(m, n)
-    if args.t is not None:
-        return _print_check(
-            f"identity sum-rect m={m} n={n} t={args.t}",
-            sum_identity_rect(m, n, args.t),
-            want,
-        )
-    bad = [t for t in range(m * n + 1) if sum_identity_rect(m, n, t) != want]
-    print(f"identity sum-rect m={m} n={n} all t")
-    print(f"RHS {_decimal(want)}")
-    print("PASS" if not bad else f"FAIL at t={bad}")
-    return 0 if not bad else 1
+    return _verify_sum(
+        f"identity sum-rect m={m} n={n}", rectangle_count(m, n), m * n,
+        lambda t: sum_identity_rect(m, n, t), args.t,
+    )
+
+
+def _verify_coeff(label: str, coefficient: FactoredRatio, terms, count_of) -> int:
+    """Check each pair term against ``coefficient * f(lam) * f(lam_c)``."""
+    checked = [
+        (lam, lhs, (coefficient * count_of(lam) * count_of(lam_c)).to_integer())
+        for lam, lam_c, _, _, lhs in terms
+    ]
+    failures = [(lam, lhs, rhs) for lam, lhs, rhs in checked if lhs != rhs]
+    print(label)
+    print(f"coefficient {coefficient.to_fraction()}")
+    print(f"instances {len(checked)}")
+    for lam, lhs, rhs in failures:
+        print(f"FAIL at lam={lam}: {lhs} != {rhs}")
+    print("PASS" if not failures else "FAIL")
+    return 0 if not failures else 1
 
 
 def _verify_coeff_c(args) -> int:
     mu = StrictPartition(_require(args, "mu"))
     m, t = _require(args, "m"), _require(args, "t")
-    c = coeff_c(mu, m, t)
-    failures = []
-    n_seen = 0
-    for lam in strict_partitions_in_staircase(m, size=t):
-        lam_c = complement_in_staircase(lam, m)
-        lhs = schur_count(union(mu, lam)) * schur_count(union(mu, lam_c))
-        rhs = (c * schur_ratio(lam) * schur_ratio(lam_c)).to_integer()
-        n_seen += 1
-        if lhs != rhs:
-            failures.append((lam, lhs, rhs))
-    print(f"identity coeff-c mu={mu} m={m} t={t}")
-    print(f"coefficient {c.to_fraction()}")
-    print(f"instances {n_seen}")
-    for lam, lhs, rhs in failures:
-        print(f"FAIL at lam={lam}: {lhs} != {rhs}")
-    print("PASS" if not failures else "FAIL")
-    return 0 if not failures else 1
+    return _verify_coeff(
+        f"identity coeff-c mu={mu} m={m} t={t}", coeff_c(mu, m, t),
+        stair_pair_terms(mu, m, size=t), schur_ratio,
+    )
 
 
 def _verify_coeff_d(args) -> int:
     mu = Partition(_require(args, "mu"))
-    k, m, n, t = (
-        _require(args, "k"),
-        _require(args, "m"),
-        _require(args, "n"),
-        _require(args, "t"),
+    k, m, n, t = (_require(args, name) for name in ("k", "m", "n", "t"))
+    return _verify_coeff(
+        f"identity coeff-d mu={mu} k={k} m={m} n={n} t={t}", coeff_d(mu, k, m, n, t),
+        rect_pair_terms(mu, k, m, n, size=t), frobenius_young_ratio,
     )
-    d = coeff_d(mu, k, m, n, t)
-    alpha = mu + Partition((n,) * k)
-    beta = mu + Partition((m,) * k)
-    failures = []
-    n_seen = 0
-    for lam in partitions_in_box(m, n, size=t):
-        lam_c = complement_in_rectangle(lam, m, n)
-        lhs = frobenius_young(union(alpha, lam)) * frobenius_young(
-            union(beta, lam_c)
-        )
-        rhs = (
-            d * frobenius_young_ratio(lam) * frobenius_young_ratio(lam_c)
-        ).to_integer()
-        n_seen += 1
-        if lhs != rhs:
-            failures.append((lam, lhs, rhs))
-    print(f"identity coeff-d mu={mu} k={k} m={m} n={n} t={t}")
-    print(f"coefficient {d.to_fraction()}")
-    print(f"instances {n_seen}")
-    for lam, lhs, rhs in failures:
-        print(f"FAIL at lam={lam}: {lhs} != {rhs}")
-    print("PASS" if not failures else "FAIL")
-    return 0 if not failures else 1
 
 
 def _verify_main_stair(args) -> int:
@@ -378,25 +317,23 @@ def _verify_pivot_stair(args) -> int:
     mu = StrictPartition(_require(args, "mu"))
     m = _require(args, "m")
     report = verify_pivot_identity_staircase(mu, m)
-    print(f"identity pivot-stair mu={mu} m={m}")
-    print(f"region cells {report.region.size} pivot {report.pivot}")
-    return _finish_report(report)
+    return _finish_report(f"identity pivot-stair mu={mu} m={m}", report)
 
 
 def _verify_pivot_rect(args) -> int:
     mu = Partition(_require(args, "mu"))
     k, m, n = _require(args, "k"), _require(args, "m"), _require(args, "n")
     report = verify_pivot_identity_rect(mu, k, m, n)
-    print(f"identity pivot-rect mu={mu} k={k} m={m} n={n}")
-    print(f"region cells {report.region.size} pivot {report.pivot}")
-    return _finish_report(report)
+    return _finish_report(f"identity pivot-rect mu={mu} k={k} m={m} n={n}", report)
 
 
-def _finish_report(report) -> int:
-    print(f"LHS {_fmt_count(report.tableau_count)}")
-    print(f"RHS {_fmt_count(report.identity_sum)}")
-    print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+def _finish_report(label: str, report) -> int:
+    print(label)
+    return _print_check(
+        f"region cells {report.region.size} pivot {report.pivot}",
+        report.tableau_count,
+        report.identity_sum,
+    )
 
 
 def _verify_conjecture(args) -> int:
@@ -441,28 +378,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return handler(args)
 
 
-# Scan family -> (parameter names, region builder, closed form).  The two
-# families without a closed form take a truncation and count by the oracle.
+# Scan family -> (parameter names, region builder, closed form): the family
+# table, and two families that count a given truncation by the oracle.
 _SCAN_FAMILIES = {
-    "stair-sq": (("m", "k"), stair_minus_square_region, stair_minus_square_ratio),
-    "stair-sq+1": (
-        ("m", "k"), stair_minus_square_plus1_region, stair_minus_square_plus1_ratio
-    ),
-    "rect-sq": (("m", "n", "k"), rect_minus_square_region, rect_minus_square_ratio),
-    "rect-sq+1": (
-        ("m", "n", "k"), rect_minus_square_plus1_region, rect_minus_square_plus1_ratio
-    ),
-    "stair-corner": (
-        ("m",), lambda m: stair_minus_square_region(m, 2), stair_minus_corner_ratio
-    ),
-    "rect-corner": (
-        ("m", "n"),
-        lambda m, n: rect_minus_square_region(m, n, 2),
-        rect_minus_corner_ratio,
-    ),
-    "square-minus-two": (
-        ("n",), square_minus_two_region, conjecture_square_minus_two_ratio
-    ),
+    **{f.name: (f.params, f.region, f.ratio) for f in FAMILIES.values()},
     "stair-trunc": (("m",), truncated_staircase_region, None),
     "rect-trunc": (("m", "n"), truncated_rectangle_region, None),
 }
@@ -502,6 +421,8 @@ def _fmt_params(params: dict) -> str:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     rows = _scan_rows(args)
+    if args.family in FAMILIES:
+        _note_conjecture(args.family, FAMILIES[args.family].conjectural)
     header = ("family", "params", "N", "count", "largest_prime", "n_smooth")
     table = []
     records = []
@@ -554,6 +475,8 @@ def _csv_field(text: str) -> str:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     region = parse_descriptor(args.shape).region()
     width = len(str(region.size))
     first = True

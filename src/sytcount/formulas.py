@@ -8,6 +8,8 @@ instead of rounding.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .arith import FactoredRatio, binomial, factorial_ratio
 from .shapes import (
     Partition,
@@ -152,6 +154,34 @@ def coeff_d(mu: PartitionLike, k: int, m: int, n: int, t: int) -> FactoredRatio:
             [u + (m + n) * k, u, t, cells - t],
         )
     )
+
+
+def stair_pair_terms(
+    mu: PartitionLike, m: int, size: int | None = None
+) -> Iterator[tuple]:
+    """Terms ``(lam, lam_c, a, b, g(a) * g(b))`` with ``a = mu | lam``, ``b =
+    mu | lam_c``, for strict ``lam`` in the order-``m`` staircase (of ``size``
+    cells, if given).  Callers check that ``mu``'s parts exceed ``m``."""
+    mu = coerce_strict(mu)
+    for lam in strict_partitions_in_staircase(m, size=size):
+        lam_c = complement_in_staircase(lam, m)
+        a, b = union(mu, lam), union(mu, lam_c)
+        yield lam, lam_c, a, b, schur_count(a) * schur_count(b)
+
+
+def rect_pair_terms(
+    mu: PartitionLike, k: int, m: int, n: int, size: int | None = None
+) -> Iterator[tuple]:
+    """Terms ``(lam, lam_c, a, b, f(a) * f(b))`` with ``a = (mu + n^k) | lam``,
+    ``b = (mu + m^k) | lam_c``, for ``lam`` in the ``m x n`` box (of ``size``
+    cells, if given)."""
+    mu = coerce_partition(mu)
+    alpha = mu + Partition((n,) * k)
+    beta = mu + Partition((m,) * k)
+    for lam in partitions_in_box(m, n, size=size):
+        lam_c = complement_in_rectangle(lam, m, n)
+        a, b = union(alpha, lam), union(beta, lam_c)
+        yield lam, lam_c, a, b, frobenius_young(a) * frobenius_young(b)
 
 
 def sum_identity_shifted(m: int, t: int) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .count import count_syt, enumerate_syt, is_valid_tableau
-from .formulas import PartTooSmall, frobenius_young, schur_count
+from .formulas import PartTooSmall, rect_pair_terms, stair_pair_terms
 from .shapes import (
     Cell,
     CellRegion,
@@ -40,22 +40,10 @@ from .shapes import (
     Tableau,
     coerce_partition,
     coerce_strict,
-    complement_in_rectangle,
-    complement_in_staircase,
     ordinary_region,
-    partitions_in_box,
     shifted_region,
-    strict_partitions_in_staircase,
-    union,
 )
-from .truncated import (
-    rect_minus_square_plus1_region,
-    rect_minus_square_region,
-    stair_minus_square_plus1_region,
-    stair_minus_square_region,
-    stair_plus1_mu,
-    stair_sq_mu,
-)
+from .truncated import FAMILIES
 
 
 class UnsupportedRegion(ValueError):
@@ -346,35 +334,14 @@ class PivotReport:
         return self.tableau_count == self.identity_sum
 
 
-def _staircase_family(mu: StrictPartition, m: int) -> tuple[CellRegion, Cell]:
-    k = len(mu.parts)
-    if k == 0:
-        # Without a prefix the shape is the untruncated staircase, which
-        # has no pivot cell; the fixed-size sum identity covers it instead.
-        raise UnsupportedRegion("empty prefix: the full staircase has no pivot")
-    if mu == stair_plus1_mu(m, k):
-        return stair_minus_square_plus1_region(m, k), (k, m + k + 1)
-    if k >= 2 and mu == stair_sq_mu(m, k):
-        return stair_minus_square_region(m, k), (k, m + 2 * k - 1)
-    raise UnsupportedRegion(
-        f"no truncated staircase corresponds to the prefix {mu} over order {m}"
-    )
-
-
-def _rect_family(
-    mu: Partition, k: int, m: int, n: int
+def _square_family(
+    geometry: str, mu: Partition | StrictPartition, params: tuple, missing: str
 ) -> tuple[CellRegion, Cell]:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if mu == Partition():
-        region = rect_minus_square_plus1_region(m, n, k)
-        dropped = (m + k) - region.num_rows
-        return region, (k - dropped, n + 1)
-    if k >= 2 and mu == Partition((1,) * (k - 1)):
-        return rect_minus_square_region(m, n, k), (k, n + 1)
-    raise UnsupportedRegion(
-        f"no truncated rectangle corresponds to mu={mu}, k={k}"
-    )
+    """Region and pivot cell of the family whose prefix at ``params`` is ``mu``."""
+    for family in FAMILIES.values():
+        if family.geometry == geometry and family.mu and family.mu(*params) == mu:
+            return family.region(*params), family.pivot(*params)
+    raise UnsupportedRegion(missing)
 
 
 def verify_pivot_identity_staircase(mu: PartitionLike, m: int) -> PivotReport:
@@ -384,22 +351,19 @@ def verify_pivot_identity_staircase(mu: PartitionLike, m: int) -> PivotReport:
     mu = coerce_strict(mu)
     if mu.parts and mu.parts[-1] <= m:
         raise PartTooSmall(f"every part of {mu} must exceed {m}")
-    region, pivot = _staircase_family(mu, m)
-    terms = []
-    total = 0
-    for lam in strict_partitions_in_staircase(m):
-        lam_c = complement_in_staircase(lam, m)
-        a, b = union(mu, lam), union(mu, lam_c)
-        prod = schur_count(a) * schur_count(b)
-        terms.append(((a, b), prod))
-        total += prod
+    if not mu.parts:
+        # Without a prefix the shape is the untruncated staircase, which
+        # has no pivot cell; the fixed-size sum identity covers it instead.
+        raise UnsupportedRegion("empty prefix: the full staircase has no pivot")
+    region, pivot = _square_family(
+        "stair", mu, (m, len(mu.parts)),
+        f"no truncated staircase corresponds to the prefix {mu} over order {m}",
+    )
+    terms = tuple(((a, b), prod) for _, _, a, b, prod in stair_pair_terms(mu, m))
+    total = sum(prod for _, prod in terms)
     return PivotReport(
         f"staircase family mu={mu} m={m}",
-        region,
-        pivot,
-        count_syt(region),
-        total,
-        tuple(terms),
+        region, pivot, count_syt(region), total, terms,
     )
 
 
@@ -412,22 +376,14 @@ def verify_pivot_identity_rect(
     mu = coerce_partition(mu)
     if len(mu.parts) > k:
         raise ValueError(f"{mu} has more than {k} parts")
-    region, pivot = _rect_family(mu, k, m, n)
-    alpha = mu + Partition((n,) * k)
-    beta = mu + Partition((m,) * k)
-    terms = []
-    total = 0
-    for lam in partitions_in_box(m, n):
-        lam_c = complement_in_rectangle(lam, m, n)
-        a, b = union(alpha, lam), union(beta, lam_c)
-        prod = frobenius_young(a) * frobenius_young(b)
-        terms.append(((a, b), prod))
-        total += prod
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    region, pivot = _square_family(
+        "rect", mu, (m, n, k), f"no truncated rectangle corresponds to mu={mu}, k={k}"
+    )
+    terms = tuple(((a, b), prod) for _, _, a, b, prod in rect_pair_terms(mu, k, m, n))
+    total = sum(prod for _, prod in terms)
     return PivotReport(
         f"rectangle family mu={mu} k={k} m={m} n={n}",
-        region,
-        pivot,
-        count_syt(region),
-        total,
-        tuple(terms),
+        region, pivot, count_syt(region), total, terms,
     )

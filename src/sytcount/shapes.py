@@ -436,6 +436,14 @@ class ShapeDescriptor:
     n: int = 0
     kappa: Partition = field(default_factory=Partition)
 
+    @property
+    def size(self) -> int:
+        """Cell count read off the descriptor, for a valid one."""
+        if self.lam is not None:
+            return self.lam.size
+        full = self.m * (self.m + 1) // 2 if self.family == "stair" else self.m * self.n
+        return full - self.kappa.size
+
     def region(self) -> CellRegion:
         if self.family == "part":
             return ordinary_region(self.lam)

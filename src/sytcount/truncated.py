@@ -10,27 +10,28 @@ redundant routes can be tested against each other.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from .arith import FactoredRatio, factorial_ratio
 from .formulas import (
     PartTooSmall,
-    frobenius_young,
     frobenius_young_ratio,
+    rect_pair_terms,
     rectangle_ratio,
-    schur_count,
     schur_ratio,
+    stair_pair_terms,
 )
 from .shapes import (
+    Cell,
     CellRegion,
     Partition,
     PartitionLike,
+    ShapeDescriptor,
     StrictPartition,
     coerce_partition,
     coerce_strict,
-    complement_in_rectangle,
-    complement_in_staircase,
-    partitions_in_box,
     staircase,
-    strict_partitions_in_staircase,
     truncated_rectangle_region,
     truncated_staircase_region,
     union,
@@ -65,11 +66,7 @@ def theorem_staircase_sum_direct(mu: PartitionLike, m: int) -> int:
     mu = coerce_strict(mu)
     if mu.parts and mu.parts[-1] <= m:
         raise PartTooSmall(f"every part of {mu} must exceed {m}")
-    total = 0
-    for lam in strict_partitions_in_staircase(m):
-        lam_c = complement_in_staircase(lam, m)
-        total += schur_count(union(mu, lam)) * schur_count(union(mu, lam_c))
-    return total
+    return sum(term[-1] for term in stair_pair_terms(mu, m))
 
 
 def theorem_rect_sum_ratio(mu: PartitionLike, k: int, m: int, n: int) -> FactoredRatio:
@@ -108,15 +105,7 @@ def theorem_rect_sum_direct(mu: PartitionLike, k: int, m: int, n: int) -> int:
         raise ValueError(f"k must be positive, got {k}")
     if len(mu.parts) > k:
         raise ValueError(f"{mu} has more than {k} parts")
-    alpha = mu + Partition((n,) * k)
-    beta = mu + Partition((m,) * k)
-    total = 0
-    for lam in partitions_in_box(m, n):
-        lam_c = complement_in_rectangle(lam, m, n)
-        total += frobenius_young(union(alpha, lam)) * frobenius_young(
-            union(beta, lam_c)
-        )
-    return total
+    return sum(term[-1] for term in rect_pair_terms(mu, k, m, n))
 
 
 # --- the truncated families ---------------------------------------------
@@ -124,7 +113,8 @@ def theorem_rect_sum_direct(mu: PartitionLike, k: int, m: int, n: int) -> int:
 # Family "sq+1": cut a k x k square but put back its southwest corner cell,
 # so the truncation partition is (k^{k-1}, k-1).  Family "sq": cut a
 # (k-1) x (k-1) square, truncation ((k-1)^{k-1}).  Each family has a
-# staircase and a rectangle variant.
+# staircase and a rectangle variant.  FAMILIES, at the end, is the one
+# table of these families that the CLI and the pivot verifies read.
 
 
 def stair_plus1_mu(m: int, k: int) -> StrictPartition:
@@ -137,12 +127,12 @@ def stair_sq_mu(m: int, k: int) -> StrictPartition:
     return StrictPartition(tuple(range(m + k + 1, m + 2, -1)) + (m + 1,))
 
 
-def _plus1_kappa(k: int) -> Partition:
-    return Partition((k,) * (k - 1) + (k - 1,))
+def _plus1_kappa(k: int) -> tuple[int, ...]:
+    return (k,) * (k - 1) + (k - 1,)
 
 
-def _sq_kappa(k: int) -> Partition:
-    return Partition((k - 1,) * (k - 1))
+def _sq_kappa(k: int) -> tuple[int, ...]:
+    return (k - 1,) * (k - 1)
 
 
 def stair_minus_square_plus1_region(m: int, k: int) -> CellRegion:
@@ -325,3 +315,95 @@ def conjecture_square_minus_two_ratio(n: int) -> FactoredRatio:
 
 def conjecture_square_minus_two(n: int) -> int:
     return conjecture_square_minus_two_ratio(n).to_integer()
+
+
+@dataclass(frozen=True)
+class Family:
+    """One closed-form family, truncating a ``stair`` or ``rect`` geometry.
+
+    ``region`` and ``ratio`` take the parameters named in ``params``, and
+    ``match(desc)`` gives those of a descriptor naming a member, or None.
+    The square families also give the prefix ``mu`` of their summation
+    theorem (None where another family owns it) and the ``pivot`` cell.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    geometry: str
+    region: Callable[..., CellRegion]
+    ratio: Callable[..., FactoredRatio]
+    match: Callable[[ShapeDescriptor], tuple[int, ...] | None] | None = None
+    mu: Callable[..., Partition | StrictPartition | None] | None = None
+    pivot: Callable[..., Cell] | None = None
+    conjectural: bool = False
+
+
+def _square_match(geometry: str, kappa_of: Callable[[int], tuple], extra: int):
+    """Matcher for the descriptors truncated by ``kappa_of(k)``, which has
+    ``k - extra`` parts, for some k >= 2; gives (m, k) or (m, n, k)."""
+
+    def match(desc: ShapeDescriptor) -> tuple[int, ...] | None:
+        kappa = desc.kappa.parts
+        k = len(kappa) + extra
+        if desc.family != geometry or k < 2 or kappa != kappa_of(k):
+            return None
+        if geometry == "stair":
+            return (desc.m - 2 * k, k) if desc.m >= 2 * k else None
+        return (desc.m - k, desc.n - k, k) if min(desc.m, desc.n) >= k else None
+
+    return match
+
+
+def _square_minus_two_match(desc: ShapeDescriptor) -> tuple[int] | None:
+    if desc.family == "rect" and desc.kappa.parts == (2,) and desc.m == desc.n >= 2:
+        return (desc.n,)
+    return None
+
+
+# The sq prefixes need k >= 2: at k = 1 they equal the sq+1 prefixes.
+# At n = 0 the rect-sq+1 cut spans the full width, so the region loses its
+# top k - 1 rows and the pivot moves to row 1.
+FAMILIES: dict[str, Family] = {family.name: family for family in (
+    Family(
+        "stair-sq", ("m", "k"), "stair",
+        stair_minus_square_region, stair_minus_square_ratio,
+        match=_square_match("stair", _sq_kappa, 1),
+        mu=lambda m, k: stair_sq_mu(m, k) if k >= 2 else None,
+        pivot=lambda m, k: (k, m + 2 * k - 1),
+    ),
+    Family(
+        "stair-sq+1", ("m", "k"), "stair",
+        stair_minus_square_plus1_region, stair_minus_square_plus1_ratio,
+        match=_square_match("stair", _plus1_kappa, 0),
+        mu=stair_plus1_mu,
+        pivot=lambda m, k: (k, m + k + 1),
+    ),
+    Family(
+        "rect-sq", ("m", "n", "k"), "rect",
+        rect_minus_square_region, rect_minus_square_ratio,
+        match=_square_match("rect", _sq_kappa, 1),
+        mu=lambda m, n, k: Partition((1,) * (k - 1)) if k >= 2 else None,
+        pivot=lambda m, n, k: (k, n + 1),
+    ),
+    Family(
+        "rect-sq+1", ("m", "n", "k"), "rect",
+        rect_minus_square_plus1_region, rect_minus_square_plus1_ratio,
+        match=_square_match("rect", _plus1_kappa, 0),
+        mu=lambda m, n, k: Partition(),
+        pivot=lambda m, n, k: (k if n else 1, n + 1),
+    ),
+    Family(
+        "stair-corner", ("m",), "stair",
+        lambda m: stair_minus_square_region(m, 2), stair_minus_corner_ratio,
+    ),
+    Family(
+        "rect-corner", ("m", "n"), "rect",
+        lambda m, n: rect_minus_square_region(m, n, 2), rect_minus_corner_ratio,
+    ),
+    Family(
+        "square-minus-two", ("n",), "rect",
+        square_minus_two_region, conjecture_square_minus_two_ratio,
+        match=_square_minus_two_match,
+        conjectural=True,
+    ),
+)}

@@ -9,7 +9,7 @@ from sytcount import arith, cli
 from sytcount.arith import factorize
 from sytcount.cli import ORACLE_LIMIT_ENV, _print_check, entry_point, main
 from sytcount.formulas import rectangle_count, staircase_count
-from sytcount.shapes import ShapeDescriptor
+from sytcount.shapes import ShapeDescriptor, parse_descriptor
 
 
 def run(capsys, *argv):
@@ -132,6 +132,25 @@ class TestFactor:
         assert lines["N"] == "40"
         assert lines["N_smooth"] == "no"
 
+    def test_formula_route_builds_no_region(self, capsys, monkeypatch):
+        shapes = ("rect:70x70", "stair:6/1", "part:3,3", "shifted:3,1", "rect:3x3/2")
+        want = {shape: str(parse_descriptor(shape).region().size) for shape in shapes}
+
+        def no_region(desc):
+            raise AssertionError(f"built the region of {desc.text}")
+
+        monkeypatch.setattr(ShapeDescriptor, "region", no_region)
+        for shape, cells in want.items():
+            for method in ("auto", "formula"):
+                fields = _factor_fields(capsys, shape, "--method", method)
+                assert fields["N"] == cells, (shape, method)
+
+    @pytest.mark.parametrize("method", ["auto", "formula", "oracle"])
+    @pytest.mark.parametrize("shape,message", TestCount.INVALID)
+    def test_invalid_descriptor_message(self, capsys, shape, message, method):
+        result = run(capsys, "factor", shape, "--method", method)
+        assert result == (2, "", f"error: {message}\n")
+
 
 def _family_kappa(sq: bool, k: int) -> str:
     kappa = (k - 1,) * (k - 1) if sq else (k,) * (k - 1) + (k - 1,)
@@ -208,6 +227,67 @@ class TestFactorFromClosedForm:
         # an oracle count is still factored, which shows the patch is live
         oracle = _factor_fields(capsys, "rect:5x5/2", "--method", "oracle")
         assert int(oracle["count"]) in seen
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_SHAPES))
+    def test_cell_count_is_the_region_size(self, capsys, family):
+        for shape in FAMILY_SHAPES[family]:
+            fields = _factor_fields(capsys, shape)
+            assert fields["N"] == str(parse_descriptor(shape).region().size), shape
+
+
+class TestConjectureNote:
+    NOTE = "note: square-minus-two closed form is a CONJECTURE (unproved)\n"
+
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (("count", "rect:4x4/2"), "1176\n"),
+            (("count", "rect:4x4/2", "--method", "formula"), "1176\n"),
+            (
+                ("count", "rect:4x4/2", "--check"),
+                "formula[square-minus-two CONJECTURE] 1176\noracle 1176\nOK\n",
+            ),
+            (
+                ("factor", "rect:4x4/2"),
+                "count 1176\nfactorization 2^3 * 3 * 7^2\nlargest_prime 7\n"
+                "N 14\nN_smooth yes\n",
+            ),
+            (
+                (
+                    "scan", "--family", "square-minus-two",
+                    "--n", "2..3", "--format", "csv",
+                ),
+                "family,params,N,count,largest_prime,n_smooth\n"
+                "square-minus-two,n=2,2,1,1,yes\nsquare-minus-two,n=3,7,5,5,yes\n",
+            ),
+        ],
+    )
+    def test_conjectural_form_notes_on_stderr(self, capsys, argv, out):
+        assert run(capsys, *argv) == (0, out, self.NOTE)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "rect:4x4/2", "--method", "oracle"),
+            ("factor", "rect:4x4/2", "--method", "oracle"),
+            ("count", "rect:4x4/2,1"),
+            ("count", "stair:6/1", "--check"),
+            ("count", "part:3,3"),
+            ("factor", "rect:4x5/1"),
+            ("scan", "--family", "stair-corner", "--m", "0..2"),
+            ("scan", "--family", "rect-trunc", "--m", "3", "--n", "3", "--kappa", "2"),
+        ],
+    )
+    def test_proved_forms_and_the_oracle_write_no_stderr(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_SHAPES))
+    def test_only_the_conjectural_family_notes(self, capsys, family):
+        for shape in FAMILY_SHAPES[family]:
+            code, _, err = run(capsys, "count", shape)
+            assert code == 0
+            assert err == (self.NOTE if family == "square-minus-two" else ""), shape
 
 
 class TestVerify:
@@ -353,6 +433,11 @@ class TestEnumerate:
         assert code == 0 and out == "1 2\n3 4\n"
         code, out, _ = run(capsys, "enumerate", "rect:10x10", "--limit", "0")
         assert code == 0 and out == ""
+
+    @pytest.mark.parametrize("limit", ["-1", "-5"])
+    def test_negative_limit_rejected(self, capsys, limit):
+        result = run(capsys, "enumerate", "part:3", "--limit", limit)
+        assert result == (2, "", f"error: --limit must be nonnegative, got {limit}\n")
 
     def test_wide_labels_align(self, capsys):
         code, out, _ = run(capsys, "enumerate", "part:6,6", "--limit", "1")

@@ -80,6 +80,7 @@ class TestCounts:
         assert count_syt_dfs(empty) == 1
         assert [t.rows for t in enumerate_syt(empty)] == [()]
 
+    @settings(deadline=None)
     @given(
         st.lists(st.integers(1, 4), max_size=4).map(
             lambda xs: Partition(tuple(sorted(xs, reverse=True)))
@@ -89,6 +90,7 @@ class TestCounts:
         region = ordinary_region(lam)
         assert count_syt(region) == count_syt_dfs(region)
 
+    @settings(deadline=None)
     @given(st.data())
     def test_dfs_agrees_shifted(self, data):
         lam = data.draw(st.sampled_from(list(strict_partitions_in_staircase(5))))
