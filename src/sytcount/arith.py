@@ -2,9 +2,12 @@
 factorization, and smoothness tests.
 
 Ratios of factorials are never evaluated through division.  Prime exponents
-are accumulated with Legendre's formula and a result is converted to an
-integer only at the end; a negative exponent at that point raises
-:class:`NotAnInteger` instead of silently rounding.
+are accumulated with Legendre's formula, summed inline per prime, and a
+result is converted to an integer only at the end; a negative exponent at
+that point raises :class:`NotAnInteger` instead of silently rounding.
+Integer factors are counted before they are factored, so equal integers
+(the many repeated differences of a Frobenius-Young or Schur product) are
+factored once.
 """
 
 from __future__ import annotations
@@ -223,14 +226,6 @@ def superfactorial(m: int) -> int:
     return math.prod(math.factorial(i) for i in range(m))
 
 
-def _legendre(n: int, p: int) -> int:
-    e = 0
-    while n:
-        n //= p
-        e += n
-    return e
-
-
 def _merge(
     acc: dict[int, int], pairs: Iterable[tuple[int, int]], scale: int
 ) -> None:
@@ -294,22 +289,29 @@ class FactoredRatio:
         return self._scaled(ints, -1)
 
     def _scaled(self, ints: Sequence[int], scale: int) -> "FactoredRatio":
-        # All factors go into one exponent map, sorted once at the end.
+        # Equal integers are counted first and factored once, with their
+        # multiplicity as the step; all factors go into one exponent map,
+        # sorted once at the end.
+        steps: dict[int, int] = {}
+        for k in ints:
+            steps[k] = steps.get(k, 0) + scale
         acc = dict(self.factors)
         sign = self.sign
-        _extend_spf(max((abs(k) for k in ints if abs(k) <= _SPF_LIMIT), default=0))
         spf = _spf
-        for k in ints:
+        for k, w in steps.items():
             if k == 0:
                 raise ValueError("zero has no factored form")
-            if k < 0:
-                sign, k = -sign, -k
-            if k > _SPF_LIMIT:
-                _merge(acc, factorize(k).pairs, scale)
-                continue
+            if k < 0:  # the sign flips only at an odd multiplicity
+                sign, k = (-sign if w % 2 else sign), -k
+            if k >= len(spf):
+                if k > _SPF_LIMIT:
+                    _merge(acc, factorize(k).pairs, w)
+                    continue
+                _extend_spf(max(abs(j) for j in steps if abs(j) <= _SPF_LIMIT))
+                spf = _spf
             while k > 1:
                 p = spf[k] or k
-                acc[p] = acc.get(p, 0) + scale
+                acc[p] = acc.get(p, 0) + w
                 k //= p
         return self._with(acc, sign)
 
@@ -371,7 +373,12 @@ def factorial_ratio(
     for p in primes_up_to(terms[-1][0] if terms else 0):
         while terms[lo][0] < p:
             lo += 1
-        e = sum(w * _legendre(a, p) for a, w in terms[lo:])
+        e = 0
+        for a, w in terms[lo:]:
+            # Legendre's formula: a! holds p to the power sum(a // p**i).
+            while a >= p:
+                a //= p
+                e += w * a
         if e:
             factors.append((p, e))
     return FactoredRatio(tuple(factors), 1)

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 from .arith import FactoredRatio
@@ -142,12 +141,12 @@ def _mu_tuple(text: str) -> tuple[int, ...]:
         )
 
 
-def _int_range(text: str) -> list[int]:
+def _int_range(text: str) -> range:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            return range(int(lo), int(hi) + 1)
+        return range(int(text), int(text) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected N or LO..HI, got {text!r}"
@@ -277,7 +276,7 @@ def _verify_coeff_c(args) -> int:
 
 def _verify_coeff_d(args) -> int:
     mu = Partition(_require(args, "mu"))
-    k, m, n, t = (_require(args, name) for name in ("k", "m", "n", "t"))
+    k, (m, n), t = _require(args, "k"), _sides(args), _require(args, "t")
     return _verify_coeff(
         f"identity coeff-d mu={mu} k={k} m={m} n={n} t={t}", coeff_d(mu, k, m, n, t),
         rect_pair_terms(mu, k, m, n, size=t), frobenius_young_ratio,
@@ -296,7 +295,7 @@ def _verify_main_stair(args) -> int:
 
 def _verify_main_rect(args) -> int:
     mu = Partition(_require(args, "mu"))
-    k, m, n = _require(args, "k"), _require(args, "m"), _require(args, "n")
+    k, (m, n) = _require(args, "k"), _sides(args)
     return _print_check(
         f"identity main-rect mu={mu} k={k} m={m} n={n}",
         theorem_rect_sum_direct(mu, k, m, n),
@@ -322,7 +321,7 @@ def _verify_pivot_stair(args) -> int:
 
 def _verify_pivot_rect(args) -> int:
     mu = Partition(_require(args, "mu"))
-    k, m, n = _require(args, "k"), _require(args, "m"), _require(args, "n")
+    k, (m, n) = _require(args, "k"), _sides(args)
     report = verify_pivot_identity_rect(mu, k, m, n)
     return _finish_report(f"identity pivot-rect mu={mu} k={k} m={m} n={n}", report)
 
@@ -371,6 +370,15 @@ def _require(args: argparse.Namespace, name: str):
     return value
 
 
+def _sides(args: argparse.Namespace) -> tuple[int, int]:
+    """The box sides ``--m`` and ``--n`` of a rectangle identity."""
+    m, n = _require(args, "m"), _require(args, "n")
+    for name, value in (("m", m), ("n", n)):
+        if value < 0:
+            raise ValueError(f"--{name} must be nonnegative, got {value}")
+    return m, n
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     handler = _IDENTITIES.get(args.identity)
     if handler is None:
@@ -387,6 +395,17 @@ _SCAN_FAMILIES = {
 }
 
 
+def _grid(axes: list[range]):
+    """The tuples of ``itertools.product(*axes)``, in its order, without
+    first copying each axis: a huge range fails on its first bad row."""
+    if not axes:
+        yield ()
+        return
+    for value in axes[0]:
+        for rest in _grid(axes[1:]):
+            yield (value, *rest)
+
+
 def _scan_rows(args) -> list[tuple[dict, int, FactoredRatio]]:
     names, region_of, ratio_of = _SCAN_FAMILIES[args.family]
     if ratio_of is None:
@@ -395,7 +414,7 @@ def _scan_rows(args) -> list[tuple[dict, int, FactoredRatio]]:
         if getattr(args, name) is None:
             raise UnknownIdentity(f"family {args.family!r} needs --{name}")
     rows = []
-    for values in product(*(getattr(args, name) for name in names)):
+    for values in _grid([getattr(args, name) for name in names]):
         params = dict(zip(names, values))
         if ratio_of is None:
             region = region_of(*values, kappa)

@@ -139,6 +139,8 @@ def stair_minus_square_plus1_region(m: int, k: int) -> CellRegion:
     """Staircase of order m + 2k minus a k x k corner square plus one cell."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     return truncated_staircase_region(m + 2 * k, _plus1_kappa(k))
 
 
@@ -146,6 +148,8 @@ def stair_minus_square_region(m: int, k: int) -> CellRegion:
     """Staircase of order m + 2k minus a (k-1) x (k-1) corner square."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     return truncated_staircase_region(m + 2 * k, _sq_kappa(k))
 
 
@@ -153,6 +157,8 @@ def rect_minus_square_plus1_region(m: int, n: int, k: int) -> CellRegion:
     """(m+k) x (n+k) rectangle minus a k x k corner square plus one cell."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    if m < 0 or n < 0:
+        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
     return truncated_rectangle_region(m + k, n + k, _plus1_kappa(k))
 
 
@@ -160,6 +166,8 @@ def rect_minus_square_region(m: int, n: int, k: int) -> CellRegion:
     """(m+k) x (n+k) rectangle minus a (k-1) x (k-1) corner square."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    if m < 0 or n < 0:
+        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
     return truncated_rectangle_region(m + k, n + k, _sq_kappa(k))
 
 
@@ -369,7 +377,7 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
         stair_minus_square_region, stair_minus_square_ratio,
         match=_square_match("stair", _sq_kappa, 1),
         mu=lambda m, k: stair_sq_mu(m, k) if k >= 2 else None,
-        pivot=lambda m, k: (k, m + 2 * k - 1),
+        pivot=lambda m, k: (k, m + k + 1),
     ),
     Family(
         "stair-sq+1", ("m", "k"), "stair",

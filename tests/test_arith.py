@@ -175,6 +175,76 @@ class TestFactoredRatio:
         assert (fa / fb).to_fraction() == Fraction(a, b)
 
 
+# Integers for times/over: small ones (through the factor table), 1 and -1,
+# and values above 2**16 (through factorize), each with either sign.
+_BIG = 1 << 16
+ratio_ints = st.one_of(
+    st.integers(-300, 300).filter(bool),
+    st.sampled_from([1, -1, _BIG, -_BIG, _BIG + 1, -(_BIG + 1), 2**61 - 1]),
+    st.integers(_BIG + 1, 2**40).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+@st.composite
+def repeated_ints(draw):
+    """A list drawn from a few distinct integers, so most of them repeat,
+    with odd and even multiplicities alike."""
+    pool = draw(st.lists(ratio_ints, min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), max_size=25))
+
+
+class TestRepeatedFactors:
+    """``times``/``over`` count equal integers before factoring them."""
+
+    @given(repeated_ints(), repeated_ints())
+    def test_times_over_match_fractions(self, xs, ys):
+        r = FactoredRatio.one().times(*xs).over(*ys)
+        want = Fraction(math.prod(xs), math.prod(ys))
+        assert r.to_fraction() == want
+        assert [p for p, _ in r.factors] == sorted({p for p, _ in r.factors})
+        assert all(e for _, e in r.factors)
+        if want.denominator == 1 and want > 0:
+            assert r.to_integer() == want
+            assert r.factorization().value == want
+        else:
+            with pytest.raises(NotAnInteger):
+                r.to_integer()
+            with pytest.raises(NotAnInteger):
+                r.factorization()
+
+    @given(repeated_ints(), st.integers(1, 4))
+    def test_one_call_equals_one_call_per_integer(self, xs, copies):
+        batched = FactoredRatio.one().times(*xs * copies)
+        single = FactoredRatio.one()
+        for _ in range(copies):
+            for x in xs:
+                single = single.times(x)
+        assert batched == single
+
+    @pytest.mark.parametrize(
+        "xs, want",
+        [
+            ((-3, -3), 9),
+            ((-3, -3, -3), -27),
+            ((-1, -1), 1),
+            ((-1,) * 5, -1),
+            ((-7, 7, -7, -7), -(7**4)),
+            ((-(2**61 - 1),) * 2, (2**61 - 1) ** 2),
+            ((_BIG + 1,) * 3, (_BIG + 1) ** 3),
+            ((-(_BIG + 1),) * 3, -((_BIG + 1) ** 3)),
+        ],
+    )
+    def test_multiplicity_sets_sign_and_exponent(self, xs, want):
+        assert FactoredRatio.one().times(*xs).to_fraction() == want
+        assert FactoredRatio.one().over(*xs).to_fraction() == Fraction(1, want)
+
+    @pytest.mark.parametrize("xs", [(0,), (3, 0, 3), (0, 0), (-5, 0), (0, _BIG + 1)])
+    def test_zero_raises(self, xs):
+        for method in (FactoredRatio.one().times, FactoredRatio.one().over):
+            with pytest.raises(ValueError, match="zero has no factored form"):
+                method(*xs)
+
+
 small_factorial_lists = st.lists(st.integers(0, 40), max_size=4)
 
 
@@ -187,6 +257,19 @@ class TestFactorialRatios:
             math.prod(math.factorial(b) for b in dens),
         )
         assert r.to_fraction() == want
+
+    @given(st.lists(st.integers(0, 80), max_size=10), st.data())
+    def test_equal_terms_cancel(self, nums, data):
+        # Terms drawn from nums appear above and below, some of them twice.
+        shared = data.draw(st.lists(st.sampled_from(nums), max_size=6)) if nums else []
+        nums = nums + shared
+        dens = data.draw(st.lists(st.integers(0, 80), max_size=6)) + shared
+        want = Fraction(
+            math.prod(math.factorial(a) for a in nums),
+            math.prod(math.factorial(b) for b in dens),
+        )
+        assert factorial_ratio(nums, dens).to_fraction() == want
+        assert factorial_ratio(nums, nums).factors == ()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -338,6 +338,30 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "main-stair", "--m", "2")
         assert code == 2 and "needs --mu" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pivot-rect", "--mu", "0", "--k", "1"),
+            ("main-rect", "--mu", "0", "--k", "1"),
+            ("coeff-d", "--mu", "0", "--k", "1", "--t", "0"),
+        ],
+        ids=lambda a: a[0],
+    )
+    @pytest.mark.parametrize("name", ["m", "n"])
+    def test_negative_rectangle_side_names_the_option(self, capsys, argv, name):
+        sides = {"m": "2", "n": "2", name: "-1"}
+        code, out, err = run(
+            capsys, "verify", *argv, "--m", sides["m"], "--n", sides["n"]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --{name} must be nonnegative, got -1\n"
+
+    def test_missing_side_is_reported_before_a_negative_one(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "main-rect", "--mu", "0", "--k", "1", "--m", "-1"
+        )
+        assert code == 2 and err == "error: identity 'main-rect' needs --n\n"
+
     def test_check_helper_reports_failures(self, capsys):
         assert _print_check("demo", 1, 2) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
@@ -418,6 +442,21 @@ class TestScan:
     def test_missing_family_parameter(self, capsys):
         code, _, err = run(capsys, "scan", "--family", "stair-sq")
         assert code == 2 and "needs --m" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--family", "stair-sq", "--m", f"0..{10**20}", "--k", "1"),
+             "k must be at least 2, got 1"),
+            (("--family", "stair-corner", f"--m=-{10**20}..0"),
+             f"m must be nonnegative, got -{10**20}"),
+            (("--family", "rect-sq", "--m", "0..2", f"--n=-{10**20}..0", "--k", "2"),
+             f"need m, n >= 0, got m=0, n=-{10**20}"),
+        ],
+    )
+    def test_huge_range_fails_on_its_first_row(self, capsys, argv, message):
+        code, out, err = run(capsys, "scan", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestEnumerate:

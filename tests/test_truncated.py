@@ -348,16 +348,35 @@ class TestFamilyTable:
         if family.geometry == "rect":
             assert ("n=0", True) in seen
 
-    @pytest.mark.xfail(strict=True, reason="the stair-sq pivot is off for k >= 3")
     def test_stair_sq_pivot_above_k2(self):
-        # The table keeps the pivot (k, m + 2k - 1) that verify pivot-stair
-        # has always reported.  It is the splitting cell only at k = 2; a
-        # search over the boundary cells finds (k, m + k + 1) at k = 3.
+        # The pivot (k, m + k + 1), the stair-sq+1 cell, splits into the
+        # theorem's pairs at k = 3 too; the old (k, m + 2k - 1) agreed
+        # with it only at k = 2.
         family = FAMILIES["stair-sq"]
         for params in [(0, 3), (1, 3)]:
             assert stair_sq_pivot_defect("stair-sq", params)
             got, want = split_histograms(family, params)
             assert got == want, params
+
+    @pytest.mark.parametrize("name", list(LEAST))
+    def test_builder_and_ratio_reject_below_the_range(self, name):
+        family, least = FAMILIES[name], LEAST[name]
+        for i in range(len(least)):
+            params = least[:i] + (least[i] - 1,) + least[i + 1 :]
+            with pytest.raises(ValueError):
+                family.region(*params)
+            with pytest.raises(ValueError):
+                family.ratio(*params)
+
+    def test_square_builders_reject_negative_sides(self):
+        with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
+            stair_minus_square_region(-1, 2)
+        with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
+            stair_minus_square_plus1_region(-1, 1)
+        with pytest.raises(ValueError, match=r"need m, n >= 0, got m=-1, n=0"):
+            rect_minus_square_plus1_region(-1, 0, 1)
+        with pytest.raises(ValueError, match=r"need m, n >= 0, got m=0, n=-1"):
+            rect_minus_square_region(0, -1, 2)
 
     def test_sq_prefix_is_none_where_sq_plus1_owns_it(self):
         assert FAMILIES["stair-sq"].mu(3, 1) is None
