@@ -349,9 +349,8 @@ class TestFamilyTable:
             assert ("n=0", True) in seen
 
     def test_stair_sq_pivot_above_k2(self):
-        # The pivot (k, m + k + 1), the stair-sq+1 cell, splits into the
-        # theorem's pairs at k = 3 too; the old (k, m + 2k - 1) agreed
-        # with it only at k = 2.
+        # The pivot (k, m + k + 1) and the cell (k, m + 2k - 1) coincide at
+        # k = 2; at k = 3, where they first differ, only the pivot splits.
         family = FAMILIES["stair-sq"]
         for params in [(0, 3), (1, 3)]:
             assert stair_sq_pivot_defect("stair-sq", params)
