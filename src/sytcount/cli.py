@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 from typing import Sequence
@@ -571,9 +572,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A ``LO..HI`` value led by a minus sign, which argparse would read as an
+# option rather than as the value of ``--m``, ``--n`` or ``--k``.
+_NEGATIVE_RANGE = re.compile(r"-\d+\.\..*")
+
+
+def _attach_negative_ranges(argv: Sequence[str]) -> list[str]:
+    """Join ``--m -1..2`` into ``--m=-1..2``, the form argparse accepts."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--m", "--n", "--k") and _NEGATIVE_RANGE.fullmatch(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_ranges(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.func(args)
     except (ShapeError, ValueError) as exc:

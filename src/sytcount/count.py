@@ -182,24 +182,12 @@ def is_valid_tableau(t: Tableau) -> bool:
 
     Raises :class:`LabelSetMismatch` when the labels are not exactly 1..N;
     returns False when the labels are right but some order is violated.
-    Columns are contiguous in a :class:`CellRegion`, so the column order is
-    checked between each pair of adjacent rows over their shared columns.
+    The region's order table gathers, from the row-major labels, both
+    sides of every covering pair (right neighbour, lower neighbour, extra
+    precedence); the filling is standard when each pair increases.
     """
-    rows = t.rows
-    if sorted(chain.from_iterable(rows)) != list(range(1, t.size + 1)):
-        raise LabelSetMismatch(f"labels are not 1..{t.size}")
-    if not all(all(map(lt, row, row[1:])) for row in rows):
-        return False
-    intervals = t.region.rows
-    for (s0, e0), upper, (s1, e1), lower in zip(
-        intervals, rows, intervals[1:], rows[1:]
-    ):
-        lo, hi = max(s0, s1), min(e0, e1)
-        if lo <= hi and not all(
-            map(lt, upper[lo - s0 : hi - s0 + 1], lower[lo - s1 :])
-        ):
-            return False
-    for src, dst in t.region.extra_precedences:
-        if t.label_at(*src) >= t.label_at(*dst):
-            return False
-    return True
+    order = t.region.order
+    flat = list(chain.from_iterable(t.rows))
+    if sorted(flat) != order.labels:
+        raise LabelSetMismatch(f"labels are not 1..{len(flat)}")
+    return all(map(lt, order.lower(flat), order.upper(flat)))

@@ -7,12 +7,16 @@ anti-diagonal of the bounding box, which turns its reversed order back
 into row/column growth; the result is translated to standard position and
 classified as an ordinary, shifted, or general region.
 
-Pieces are built row by row: the cells a piece keeps are gathered as
-(column, label) pairs per row, and their label tuples become the piece's
-rows.  The few outlines that recur (ordinary or shifted diagrams in
-standard position) come from a small bounded cache, so a split does not
-rebuild and revalidate the same region for every tableau.  Every piece and
-every reassembled tableau still goes through ``is_valid_tableau``.
+Splits work on flat label lists laid out by the region's order table
+(``CellRegion.order``): the low piece reads the labels in row-major order,
+the high piece in the table's reflection order, where each column is one
+reflected row.  A byte flag per cell marks the labels a piece keeps, and
+each row of the piece is one slice of the list.  Reassembly writes both
+pieces' rows as slices into the region's flat list.  The few outlines that
+recur (ordinary or shifted diagrams in standard position) come from a
+small bounded cache, so a split does not rebuild and revalidate the same
+region, or its order table, for every tableau.  Every piece and every
+reassembled tableau still goes through ``is_valid_tableau``.
 
 ``split_threshold`` cuts a full rectangle or full shifted staircase at a
 fixed label and is invertible (``unsplit_threshold``).  ``split_pivot``
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 from .count import count_syt, enumerate_syt, is_valid_tableau
 from .formulas import PartTooSmall, rect_pair_terms, stair_pair_terms
@@ -68,15 +74,12 @@ class SplitResult:
 
 
 def _is_full_rectangle(region: CellRegion) -> bool:
-    rows = region.rows
-    return all(s == 1 for s, _ in rows) and len({e for _, e in rows}) <= 1
+    return region.rows == ((1, region.max_col),) * region.num_rows
 
 
 def _is_full_staircase(region: CellRegion) -> bool:
     m = region.num_rows
-    return all(
-        (s, e) == (i, m) for i, (s, e) in enumerate(region.rows, start=1)
-    )
+    return region.rows == tuple(zip(range(1, m + 1), repeat(m)))
 
 
 def _flavor_of(region: CellRegion) -> str:
@@ -87,9 +90,22 @@ def _flavor_of(region: CellRegion) -> str:
     return "auto"
 
 
-# Row-label pairs of a piece before translation: row -> [(column, label),
-# ...] with each row's columns increasing.
-_PieceRows = dict[int, list[tuple[int, int]]]
+def _threshold_flavor(region: CellRegion) -> str:
+    """The piece flavor of a region that threshold splitting accepts."""
+    full_staircase = _is_full_staircase(region)
+    if not (full_staircase or _is_full_rectangle(region)):
+        raise UnsupportedRegion(
+            "threshold splitting needs a full rectangle or full staircase"
+        )
+    flavor = _flavor_of(region)
+    if flavor == "auto":
+        flavor = "shifted" if full_staircase else "ordinary"
+    return flavor
+
+
+# Where a region's rows lie in a flat label list: (row, first column, start,
+# stop) for each row, in increasing row order.
+_Segments = Iterable[tuple[int, int, int, int]]
 
 
 @lru_cache(maxsize=256)
@@ -112,90 +128,102 @@ def _plain_region(flavor: str, intervals: tuple[Interval, ...]) -> CellRegion | 
 
 
 def _assemble(
-    by_row: _PieceRows, pairs: list[Precedence], flavor: str
+    segments: _Segments,
+    labels: Sequence[int],
+    keep: bytes,
+    flavor: str,
+    pairs: Iterable[Precedence],
 ) -> Tableau:
-    """Build a standalone tableau from a coherent set of labeled cells.
+    """Build a standalone tableau from the cells that ``keep`` flags.
 
-    Translates to standard position, classifies the outline, and checks
-    validity; a failed check means the cells did not come from a split of
-    a standard tableau.
+    Translates the kept cells to standard position, classifies the
+    outline, and checks validity; a failed check means the cells did not
+    come from a split of a standard tableau.  ``pairs`` lists the extra
+    precedences among the kept cells; it is read only for a general
+    outline.
     """
-    if not by_row:
+    top = broken = None
+    intervals, rows = [], []
+    for r, s, lo, hi in segments:
+        first = keep.find(1, lo, hi)
+        if first < 0:
+            continue
+        last = keep.rfind(1, lo, hi)
+        if top is None:
+            top = r
+        if broken is None and keep.find(0, first, last) >= 0:
+            broken = r
+        intervals.append((s + first - lo, s + last - lo))
+        rows.append(labels[first : last + 1])
+        bottom = r
+    if top is None:
         return Tableau(_plain_region(flavor, ()), ())
-    row_ids = sorted(by_row)
-    if row_ids[-1] - row_ids[0] + 1 != len(row_ids):
+    if bottom - top + 1 != len(rows):
         raise ShapeError("piece has a gap between rows")
-    dr = 1 - row_ids[0]
-    intervals = []
-    for r in row_ids:
-        entries = by_row[r]
-        first, last = entries[0][0], entries[-1][0]
-        if last - first + 1 != len(entries):
-            raise ShapeError(f"piece row {r} is not contiguous")
-        intervals.append((first, last))
-    dc = 1 - min(s for s, _ in intervals)
-    intervals = tuple((s + dc, e + dc) for s, e in intervals)
-    region = _plain_region(flavor, intervals)
+    if broken is not None:
+        raise ShapeError(f"piece row {broken} is not contiguous")
+    dc = 1 - min(intervals)[0]
+    if dc:
+        intervals = [(s + dc, e + dc) for s, e in intervals]
+    region = _plain_region(flavor, tuple(intervals))
     if region is None:
+        dr = 1 - top
         moved_pairs = frozenset(
             ((a[0] + dr, a[1] + dc), (b[0] + dr, b[1] + dc)) for a, b in pairs
         )
-        region = CellRegion(intervals, moved_pairs, "general")
-    rows = tuple(tuple(lbl for _, lbl in by_row[r]) for r in row_ids)
+        region = CellRegion(tuple(intervals), moved_pairs, "general")
     piece = Tableau(region, rows)
     if not is_valid_tableau(piece):
         raise ShapeError("split produced an invalid filling")
     return piece
 
 
+def _reflected(
+    t: Tableau, height: int, width: int, total: int
+) -> tuple[_Segments, list[int]]:
+    """The filling ``t`` reflected across the anti-diagonal of a ``height x
+    width`` box, as segments over a flat label list: ``(r, c)`` goes to
+    ``(width + 1 - c, height + 1 - r)`` and ``label`` to ``total + 1 -
+    label``.
+    """
+    # The region's reflection order lists the labels column by column,
+    # right to left and bottom-up, so each column is one reflected row.
+    order = t.region.order
+    labels = [total + 1 - lbl for lbl in order.reflect(list(chain.from_iterable(t.rows)))]
+    segments = [
+        (width + 1 - c, height + 1 - bottom, lo, hi)
+        for c, bottom, lo, hi in order.columns
+    ]
+    return segments, labels
+
+
 def _low_piece(t: Tableau, bound: int, flavor: str) -> Tableau:
-    by_row: _PieceRows = {}
-    for r, ((s, _), row) in enumerate(zip(t.region.rows, t.rows), start=1):
-        kept = [(s + j, lbl) for j, lbl in enumerate(row) if lbl <= bound]
-        if kept:
-            by_row[r] = kept
-    pairs = [
+    labels = list(chain.from_iterable(t.rows))
+    keep = bytes([lbl <= bound for lbl in labels])
+    pairs = (
         (a, b)
         for a, b in t.region.extra_precedences
         if t.label_at(*a) <= bound and t.label_at(*b) <= bound
-    ]
-    return _assemble(by_row, pairs, flavor)
-
-
-def _reflected(
-    t: Tableau, height: int, width: int, total: int, bound: int | None = None
-) -> _PieceRows:
-    """Cells of ``t`` labeled above ``bound`` (all of them when it is None),
-    reflected across the anti-diagonal of a ``height x width`` box:
-    ``(r, c)`` goes to ``(width + 1 - c, height + 1 - r)`` and ``label`` to
-    ``total + 1 - label``.
-    """
-    # Columns become rows; walking the rows bottom-up fills each reflected
-    # row in increasing column order.
-    by_row: _PieceRows = {}
-    for r in range(t.region.num_rows, 0, -1):
-        s, _ = t.region.rows[r - 1]
-        col = height + 1 - r
-        for j, lbl in enumerate(t.rows[r - 1]):
-            if bound is None or lbl > bound:
-                by_row.setdefault(width + 1 - s - j, []).append((col, total + 1 - lbl))
-    return by_row
+    )
+    return _assemble(t.region.order.rows, labels, keep, flavor, pairs)
 
 
 def _high_piece(t: Tableau, bound: int, flavor: str) -> Tableau:
-    nrows, ncols = t.region.num_rows, t.region.max_col
+    nrows, ncols, total = t.region.num_rows, t.region.max_col, t.size
 
     def reflect(cell: Cell) -> Cell:
         r, c = cell
         return (ncols + 1 - c, nrows + 1 - r)
 
-    kept = [
-        (a, b)
+    pairs = (
+        (reflect(b), reflect(a))
         for a, b in t.region.extra_precedences
         if t.label_at(*a) > bound and t.label_at(*b) > bound
-    ]
-    pairs = [(reflect(b), reflect(a)) for a, b in kept]
-    return _assemble(_reflected(t, nrows, ncols, t.size, bound), pairs, flavor)
+    )
+    segments, labels = _reflected(t, nrows, ncols, total)
+    # a label above ``bound`` is at most ``total - bound`` once renumbered
+    keep = bytes([lbl <= total - bound for lbl in labels])
+    return _assemble(segments, labels, keep, flavor, pairs)
 
 
 def split_threshold(t: Tableau, thresh: int) -> SplitResult:
@@ -206,15 +234,9 @@ def split_threshold(t: Tableau, thresh: int) -> SplitResult:
     (ordinary or shifted) standard tableaux.
     """
     region = t.region
-    if not (_is_full_rectangle(region) or _is_full_staircase(region)):
-        raise UnsupportedRegion(
-            "threshold splitting needs a full rectangle or full staircase"
-        )
+    flavor = _threshold_flavor(region)
     if not 0 <= thresh <= region.size:
         raise ValueError(f"threshold must lie in 0..{region.size}, got {thresh}")
-    flavor = _flavor_of(region)
-    if flavor == "auto":
-        flavor = "shifted" if _is_full_staircase(region) else "ordinary"
     return SplitResult(
         thresh,
         _low_piece(t, thresh, flavor),
@@ -229,39 +251,29 @@ def unsplit_threshold(split: SplitResult, region: CellRegion) -> Tableau:
     coordinates and the high piece is reflected back.  Raises
     :class:`IncompatibleShapes` when the pieces do not tile the region.
     """
-    if not (_is_full_rectangle(region) or _is_full_staircase(region)):
-        raise UnsupportedRegion(
-            "threshold splitting needs a full rectangle or full staircase"
-        )
+    _threshold_flavor(region)
     total = region.size
     if split.first.size != split.t or split.second.size != total - split.t:
         raise IncompatibleShapes("piece sizes do not match the threshold")
     nrows, ncols = region.num_rows, region.max_col
-    slots: list[list[int | None]] = [[None] * (e - s + 1) for s, e in region.rows]
-    placed = 0
-    low = {
-        r: list(zip(range(s, e + 1), row))
-        for r, ((s, e), row) in enumerate(
-            zip(split.first.region.rows, split.first.rows), start=1
-        )
-    }
-    for by_row in (low, _reflected(split.second, ncols, nrows, total)):
-        for r, entries in by_row.items():
-            if not 1 <= r <= nrows:
+    order = region.order
+    slots: list[int | None] = [None] * total
+    low = split.first
+    for segments, labels in (
+        (low.region.order.rows, list(chain.from_iterable(low.rows))),
+        _reflected(split.second, ncols, nrows, total),
+    ):
+        for r, s, lo, hi in segments:
+            i = order.index.get((r, s))
+            if i is None or (r, s + hi - lo - 1) not in order.index:
                 raise IncompatibleShapes("pieces do not tile the region")
-            s, e = region.rows[r - 1]
-            row = slots[r - 1]
-            for c, lbl in entries:
-                if not s <= c <= e:
-                    raise IncompatibleShapes("pieces do not tile the region")
-                if row[c - s] is None:
-                    placed += 1
-                row[c - s] = lbl
-    # The piece sizes add up to the region's, so an overlap leaves a slot
-    # empty and shows as a short count.
-    if placed != total:
+            slots[i : i + hi - lo] = labels[lo:hi]
+    # The piece sizes add up to the region's and every cell landed inside
+    # it, so an overlap leaves a slot empty.
+    if None in slots:
         raise IncompatibleShapes("pieces do not tile the region")
-    out = Tableau(region, tuple(tuple(row) for row in slots))
+    rows = [slots[lo:hi] for _, _, lo, hi in order.rows]
+    out = Tableau(region, rows)
     if not is_valid_tableau(out):
         raise IncompatibleShapes("pieces tile the region but break the order")
     return out

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Iterator, Sequence, Union
+from itertools import accumulate, combinations
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence, Union
 
 Cell = tuple[int, int]
 Interval = tuple[int, int]
@@ -273,6 +274,45 @@ def strict_partitions_in_staircase(
         yield from rec(k, m, size, [])
 
 
+Gather = Callable[[Sequence[int]], tuple[int, ...]]
+
+
+def _gather(indices: Sequence[int]) -> Gather:
+    """``itemgetter`` over ``indices`` that returns a tuple for any length."""
+    # itemgetter returns the bare item for one index and needs at least one
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+@dataclass(frozen=True)
+class OrderTable:
+    """A region's order relation, read off its cells in row-major order.
+
+    A filling is listed row by row as one flat label sequence; ``rows``
+    holds each row as (row, first column, start, stop) of its slice.
+    ``lower`` and ``upper`` gather from the sequence the two sides of every
+    covering pair (right neighbour, lower neighbour, extra precedence), so
+    a filling keeps the order exactly when each gathered lower label is
+    below the upper one.  ``reflect`` gathers the labels column by column,
+    right to left and each column bottom-up, which is row-major order after
+    a reflection across the anti-diagonal; ``columns`` holds each column as
+    (column, bottom row, start, stop) of its slice of the gathered labels.
+    """
+
+    index: dict[Cell, int]
+    lengths: tuple[int, ...]
+    labels: list[int]  # 1..N, what a standard filling's sorted labels equal
+    rows: tuple[tuple[int, int, int, int], ...]
+    lower: Gather
+    upper: Gather
+    reflect: Gather
+    columns: tuple[tuple[int, int, int, int], ...]
+
+
 @dataclass(frozen=True)
 class CellRegion:
     """A finite set of cells, one contiguous column interval per row.
@@ -322,6 +362,43 @@ class CellRegion:
     @cached_property
     def max_col(self) -> int:
         return max((e for _, e in self.rows), default=0)
+
+    @cached_property
+    def order(self) -> OrderTable:
+        """The order table, built on first use and kept on the region."""
+        index = {cell: i for i, cell in enumerate(self.cells())}
+        pairs = [
+            (i, index[nxt])
+            for (r, c), i in index.items()
+            for nxt in ((r, c + 1), (r + 1, c))
+            if nxt in index
+        ]
+        pairs += [(index[a], index[b]) for a, b in self.extra_precedences]
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for (r, c), i in index.items():
+            by_col.setdefault(c, []).append((r, i))
+        columns = sorted(by_col.items(), reverse=True)
+        lengths = tuple(e - s + 1 for s, e in self.rows)
+        row_starts = accumulate(lengths, initial=0)
+        col_starts = accumulate((len(col) for _, col in columns), initial=0)
+        return OrderTable(
+            index,
+            lengths,
+            list(range(1, len(index) + 1)),
+            tuple(
+                (r, s, lo, lo + n)
+                for r, ((s, _), n, lo) in enumerate(
+                    zip(self.rows, lengths, row_starts), start=1
+                )
+            ),
+            _gather([a for a, _ in pairs]),
+            _gather([b for _, b in pairs]),
+            _gather([i for _, col in columns for _, i in reversed(col)]),
+            tuple(
+                (c, col[-1][0], lo, lo + len(col))
+                for (c, col), lo in zip(columns, col_starts)
+            ),
+        )
 
     def cells(self) -> Iterator[Cell]:
         for r, (s, e) in enumerate(self.rows, start=1):
@@ -502,18 +579,21 @@ def build_region(descriptor: str) -> CellRegion:
 
 @dataclass(frozen=True)
 class Tableau:
-    """A filling of a region, stored as one label tuple per region row."""
+    """A filling of a region, stored as one label tuple per region row.
+
+    Rows may be given as any iterables; they are stored as tuples, and
+    labels as given.
+    """
 
     region: CellRegion
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
-        if len(rows) != self.region.num_rows:
-            raise ShapeError("row count does not match the region")
-        for row, (s, e) in zip(rows, self.region.rows):
-            if len(row) != e - s + 1:
-                raise ShapeError("row length does not match the region")
+        rows = tuple(map(tuple, self.rows))
+        if tuple(map(len, rows)) != self.region.order.lengths:
+            if len(rows) != self.region.num_rows:
+                raise ShapeError("row count does not match the region")
+            raise ShapeError("row length does not match the region")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -530,13 +610,3 @@ class Tableau:
         ):
             for j, lbl in enumerate(row):
                 yield (r, s + j), lbl
-
-    @classmethod
-    def from_labels(cls, region: CellRegion, mapping: dict[Cell, int]) -> "Tableau":
-        rows = []
-        for r, (s, e) in enumerate(region.rows, start=1):
-            try:
-                rows.append(tuple(mapping[(r, c)] for c in range(s, e + 1)))
-            except KeyError as exc:
-                raise ShapeError(f"missing label for cell {exc.args[0]}") from None
-        return cls(region, tuple(rows))

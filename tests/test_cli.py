@@ -458,6 +458,33 @@ class TestScan:
         code, out, err = run(capsys, "scan", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("option", ["--m", "--n", "--k"])
+    @pytest.mark.parametrize("value", ["-1..2", "-0..2", "-3..-1", "-1..", "-1..x"])
+    def test_range_led_by_a_minus_sign(self, capsys, option, value):
+        """``--m -1..2`` reaches the program as ``--m=-1..2`` does."""
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        argv = ["scan", "--family", "rect-sq", "--m", "1", "--n", "1", "--k", "2"]
+        at = argv.index(option) + 1
+        spaced = outcome(argv[:at] + [value] + argv[at + 1 :])
+        joined = outcome(argv[: at - 1] + [f"{option}={value}"] + argv[at + 1 :])
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
+
+    def test_negative_range_values(self, capsys):
+        code, out, err = run(capsys, "scan", "--family", "stair-corner", "--m", "-1..2")
+        assert (code, out, err) == (2, "", "error: m must be nonnegative, got -1\n")
+        code, out, err = run(capsys, "scan", "--family", "stair-corner", "--m", "-0..2")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "scan", "--family", "stair-corner", "--m", "0..2")[1]
+
 
 class TestEnumerate:
     def test_full_output(self, capsys):

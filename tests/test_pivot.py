@@ -1,14 +1,20 @@
 """Threshold and pivot splitting: worked fixtures, round trips, histograms."""
 
-import pytest
+from itertools import chain, islice
+from operator import lt
 
-from sytcount.count import count_syt, enumerate_syt
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sytcount.count import LabelSetMismatch, count_syt, enumerate_syt
 from sytcount.formulas import PartTooSmall, frobenius_young, schur_count
 from sytcount.pivot import (
     IncompatibleShapes,
     NotOnBoundary,
     SplitResult,
     UnsupportedRegion,
+    _flavor_of,
+    _plain_region,
     is_boundary_cell,
     piece_shape,
     pivot_shape_histogram,
@@ -19,8 +25,11 @@ from sytcount.pivot import (
     verify_pivot_identity_staircase,
 )
 from sytcount.shapes import (
+    Cell,
     CellRegion,
     Partition,
+    Precedence,
+    ShapeError,
     StrictPartition,
     Tableau,
     build_region,
@@ -28,6 +37,7 @@ from sytcount.shapes import (
     complement_in_staircase,
     ordinary_region,
     partitions_in_box,
+    shifted_region,
     strict_partitions_in_staircase,
     truncated_staircase_region,
 )
@@ -385,3 +395,296 @@ class TestPivotIdentities:
     def test_small_parts_rejected(self):
         with pytest.raises(PartTooSmall):
             verify_pivot_identity_staircase(StrictPartition((2,)), 2)
+
+
+# --- Reference: the split and reassembly that worked cell by cell ---------
+#
+# A verbatim copy of the row-by-row split and its inverse as they were before
+# the regions' order tables, with the validity check they used (adjacent rows
+# compared over their shared columns, then each extra precedence by cell).
+# The differential test below compares the library against it.
+
+_PieceRows = dict[int, list[tuple[int, int]]]
+
+
+def _is_full_rectangle(region: CellRegion) -> bool:
+    rows = region.rows
+    return all(s == 1 for s, _ in rows) and len({e for _, e in rows}) <= 1
+
+
+def _is_full_staircase(region: CellRegion) -> bool:
+    m = region.num_rows
+    return all(
+        (s, e) == (i, m) for i, (s, e) in enumerate(region.rows, start=1)
+    )
+
+
+def reference_is_valid_tableau(t: Tableau) -> bool:
+    rows = t.rows
+    if sorted(chain.from_iterable(rows)) != list(range(1, t.size + 1)):
+        raise LabelSetMismatch(f"labels are not 1..{t.size}")
+    if not all(all(map(lt, row, row[1:])) for row in rows):
+        return False
+    intervals = t.region.rows
+    for (s0, e0), upper, (s1, e1), lower in zip(
+        intervals, rows, intervals[1:], rows[1:]
+    ):
+        lo, hi = max(s0, s1), min(e0, e1)
+        if lo <= hi and not all(
+            map(lt, upper[lo - s0 : hi - s0 + 1], lower[lo - s1 :])
+        ):
+            return False
+    for src, dst in t.region.extra_precedences:
+        if t.label_at(*src) >= t.label_at(*dst):
+            return False
+    return True
+
+
+def _assemble(
+    by_row: _PieceRows, pairs: list[Precedence], flavor: str
+) -> Tableau:
+    if not by_row:
+        return Tableau(_plain_region(flavor, ()), ())
+    row_ids = sorted(by_row)
+    if row_ids[-1] - row_ids[0] + 1 != len(row_ids):
+        raise ShapeError("piece has a gap between rows")
+    dr = 1 - row_ids[0]
+    intervals = []
+    for r in row_ids:
+        entries = by_row[r]
+        first, last = entries[0][0], entries[-1][0]
+        if last - first + 1 != len(entries):
+            raise ShapeError(f"piece row {r} is not contiguous")
+        intervals.append((first, last))
+    dc = 1 - min(s for s, _ in intervals)
+    intervals = tuple((s + dc, e + dc) for s, e in intervals)
+    region = _plain_region(flavor, intervals)
+    if region is None:
+        moved_pairs = frozenset(
+            ((a[0] + dr, a[1] + dc), (b[0] + dr, b[1] + dc)) for a, b in pairs
+        )
+        region = CellRegion(intervals, moved_pairs, "general")
+    rows = tuple(tuple(lbl for _, lbl in by_row[r]) for r in row_ids)
+    piece = Tableau(region, rows)
+    if not reference_is_valid_tableau(piece):
+        raise ShapeError("split produced an invalid filling")
+    return piece
+
+
+def _low_piece(t: Tableau, bound: int, flavor: str) -> Tableau:
+    by_row: _PieceRows = {}
+    for r, ((s, _), row) in enumerate(zip(t.region.rows, t.rows), start=1):
+        kept = [(s + j, lbl) for j, lbl in enumerate(row) if lbl <= bound]
+        if kept:
+            by_row[r] = kept
+    pairs = [
+        (a, b)
+        for a, b in t.region.extra_precedences
+        if t.label_at(*a) <= bound and t.label_at(*b) <= bound
+    ]
+    return _assemble(by_row, pairs, flavor)
+
+
+def _reflected(
+    t: Tableau, height: int, width: int, total: int, bound: int | None = None
+) -> _PieceRows:
+    by_row: _PieceRows = {}
+    for r in range(t.region.num_rows, 0, -1):
+        s, _ = t.region.rows[r - 1]
+        col = height + 1 - r
+        for j, lbl in enumerate(t.rows[r - 1]):
+            if bound is None or lbl > bound:
+                by_row.setdefault(width + 1 - s - j, []).append((col, total + 1 - lbl))
+    return by_row
+
+
+def _high_piece(t: Tableau, bound: int, flavor: str) -> Tableau:
+    nrows, ncols = t.region.num_rows, t.region.max_col
+
+    def reflect(cell: Cell) -> Cell:
+        r, c = cell
+        return (ncols + 1 - c, nrows + 1 - r)
+
+    kept = [
+        (a, b)
+        for a, b in t.region.extra_precedences
+        if t.label_at(*a) > bound and t.label_at(*b) > bound
+    ]
+    pairs = [(reflect(b), reflect(a)) for a, b in kept]
+    return _assemble(_reflected(t, nrows, ncols, t.size, bound), pairs, flavor)
+
+
+def reference_split_threshold(t: Tableau, thresh: int) -> SplitResult:
+    region = t.region
+    if not (_is_full_rectangle(region) or _is_full_staircase(region)):
+        raise UnsupportedRegion(
+            "threshold splitting needs a full rectangle or full staircase"
+        )
+    if not 0 <= thresh <= region.size:
+        raise ValueError(f"threshold must lie in 0..{region.size}, got {thresh}")
+    flavor = _flavor_of(region)
+    if flavor == "auto":
+        flavor = "shifted" if _is_full_staircase(region) else "ordinary"
+    return SplitResult(
+        thresh,
+        _low_piece(t, thresh, flavor),
+        _high_piece(t, thresh, flavor),
+    )
+
+
+def reference_split_pivot(t: Tableau, pivot: Cell) -> SplitResult:
+    label = t.label_at(*pivot)
+    flavor = _flavor_of(t.region)
+    return SplitResult(
+        label,
+        _low_piece(t, label - 1, flavor),
+        _high_piece(t, label, flavor),
+    )
+
+
+def reference_unsplit_threshold(split: SplitResult, region: CellRegion) -> Tableau:
+    if not (_is_full_rectangle(region) or _is_full_staircase(region)):
+        raise UnsupportedRegion(
+            "threshold splitting needs a full rectangle or full staircase"
+        )
+    total = region.size
+    if split.first.size != split.t or split.second.size != total - split.t:
+        raise IncompatibleShapes("piece sizes do not match the threshold")
+    nrows, ncols = region.num_rows, region.max_col
+    slots: list[list[int | None]] = [[None] * (e - s + 1) for s, e in region.rows]
+    placed = 0
+    low = {
+        r: list(zip(range(s, e + 1), row))
+        for r, ((s, e), row) in enumerate(
+            zip(split.first.region.rows, split.first.rows), start=1
+        )
+    }
+    for by_row in (low, _reflected(split.second, ncols, nrows, total)):
+        for r, entries in by_row.items():
+            if not 1 <= r <= nrows:
+                raise IncompatibleShapes("pieces do not tile the region")
+            s, e = region.rows[r - 1]
+            row = slots[r - 1]
+            for c, lbl in entries:
+                if not s <= c <= e:
+                    raise IncompatibleShapes("pieces do not tile the region")
+                if row[c - s] is None:
+                    placed += 1
+                row[c - s] = lbl
+    # The piece sizes add up to the region's, so an overlap leaves a slot
+    # empty and shows as a short count.
+    if placed != total:
+        raise IncompatibleShapes("pieces do not tile the region")
+    out = Tableau(region, tuple(tuple(row) for row in slots))
+    if not reference_is_valid_tableau(out):
+        raise IncompatibleShapes("pieces tile the region but break the order")
+    return out
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the class and message it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ShapeError) as exc:
+        return type(exc), str(exc)
+
+
+FULL_REGIONS = [
+    build_region(d)
+    for d in (
+        "rect:1x1", "rect:1x4", "rect:4x1", "rect:2x3", "rect:3x3", "rect:3x4",
+        "rect:4x3", "stair:1", "stair:2", "stair:3", "stair:4", "stair:5",
+    )
+] + [
+    # full outlines whose kind does not name them
+    shifted_region(StrictPartition((3,))),
+    CellRegion(((1, 3), (1, 3))),
+    CellRegion(((1, 3), (2, 3), (3, 3))),
+]
+# Truncated regions give pivot pieces with general outlines, some of which
+# keep a moved or reflected extra precedence.
+PIVOT_REGIONS = FULL_REGIONS + [
+    build_region(d)
+    for d in ("stair:4/1", "stair:5/2", "stair:5/2,1", "stair:5/3", "rect:3x4/2,1", "rect:4x4/3,1")
+]
+
+
+@st.composite
+def fillings_of(draw, regions):
+    """A standard filling, a standard filling with labels k and k + 1
+    swapped, or a permutation of 1..N, of one of ``regions``."""
+    region = draw(st.sampled_from(regions))
+    n = region.size
+    how = draw(st.sampled_from(["standard", "swap", "permutation"]))
+    if how == "permutation":
+        labels = draw(st.permutations(range(1, n + 1)))
+    else:
+        index = draw(st.integers(0, min(count_syt(region), 60) - 1))
+        t = next(islice(enumerate_syt(region), index, None))
+        labels = [lbl for row in t.rows for lbl in row]
+        if how == "swap" and n > 1:
+            k = draw(st.integers(1, n - 1))
+            labels = [{k: k + 1, k + 1: k}.get(lbl, lbl) for lbl in labels]
+    rows, i = [], 0
+    for s, e in region.rows:
+        rows.append(tuple(labels[i : i + e - s + 1]))
+        i += e - s + 1
+    return Tableau(region, tuple(rows))
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(fillings_of(FULL_REGIONS), st.data())
+    def test_threshold_split_and_reassembly(self, t, data):
+        region = t.region
+        splits = {}
+        for thresh in range(-1, region.size + 2):
+            got = outcome(split_threshold, t, thresh)
+            assert got == outcome(reference_split_threshold, t, thresh), thresh
+            if isinstance(got, SplitResult):
+                splits[thresh] = got
+                assert outcome(unsplit_threshold, got, region) == outcome(
+                    reference_unsplit_threshold, got, region
+                )
+        # Pieces of another filling at the same threshold may tile, overlap
+        # or fall outside the region; a high piece with labels k and k + 1
+        # swapped tiles but may break the order, and at k = its size its
+        # labels are no longer 1..size.
+        other = data.draw(fillings_of([region]))
+        for thresh, split in splits.items():
+            mixed = [SplitResult(thresh + 1, split.first, split.second)]
+            theirs = outcome(split_threshold, other, thresh)
+            if isinstance(theirs, SplitResult):
+                mixed.append(SplitResult(thresh, split.first, theirs.second))
+                mixed.append(SplitResult(thresh, theirs.first, split.second))
+            high = split.second
+            if high.size:
+                k = data.draw(st.integers(1, high.size))
+                swap = {k: k + 1, k + 1: k}
+                rows = tuple(tuple(swap.get(lbl, lbl) for lbl in row) for row in high.rows)
+                mixed.append(SplitResult(thresh, split.first, Tableau(high.region, rows)))
+            for pieces in mixed:
+                assert outcome(unsplit_threshold, pieces, region) == outcome(
+                    reference_unsplit_threshold, pieces, region
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(fillings_of(PIVOT_REGIONS))
+    def test_pivot_split(self, t):
+        # threshold splits refuse the truncated regions among these
+        assert outcome(split_threshold, t, 1) == outcome(reference_split_threshold, t, 1)
+        for cell in t.region.cells():
+            if is_boundary_cell(t.region, cell):
+                assert outcome(split_pivot, t, cell) == outcome(
+                    reference_split_pivot, t, cell
+                ), cell
+
+    @pytest.mark.parametrize("descriptor", ["rect:3x4", "stair:5"])
+    def test_every_standard_filling(self, descriptor):
+        region = build_region(descriptor)
+        for t in enumerate_syt(region):
+            for thresh in (region.size // 3, region.size // 2):
+                split = split_threshold(t, thresh)
+                assert split == reference_split_threshold(t, thresh)
+                assert unsplit_threshold(split, region) == t
+                assert reference_unsplit_threshold(split, region) == t

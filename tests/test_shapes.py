@@ -275,7 +275,26 @@ class TestTableau:
         assert t.label_at(2, 2) == 3
         assert dict(t.labels()) == {(1, 1): 1, (1, 2): 2, (2, 2): 3}
 
-    def test_from_labels_roundtrip(self):
+    def test_rows_of_any_iterable_become_tuples(self):
         region = build_region("stair:3")
-        t = Tableau(region, ((1, 2, 4), (3, 5), (6,)))
-        assert Tableau.from_labels(region, dict(t.labels())) == t
+        want = Tableau(region, ((1, 2, 4), (3, 5), (6,)))
+        for rows in (
+            [[1, 2, 4], [3, 5], [6]],
+            [(1, 2, 4), [3, 5], (6,)],
+            (iter([1, 2, 4]), range(3, 7, 2), (6,)),
+            (list(row) for row in want.rows),
+        ):
+            t = Tableau(region, rows)
+            assert t == want and hash(t) == hash(want)
+            assert type(t.rows) is tuple
+            assert all(type(row) is tuple for row in t.rows)
+
+    def test_row_count_and_row_lengths_are_checked(self):
+        region = build_region("stair:3")
+        with pytest.raises(ShapeError, match="row count does not match"):
+            Tableau(region, ((1, 2, 4), (3, 5)))
+        with pytest.raises(ShapeError, match="row count does not match"):
+            Tableau(region, ((1, 2, 4), (3, 5), (6,), ()))
+        with pytest.raises(ShapeError, match="row length does not match"):
+            Tableau(region, ((1, 2, 4), (3,), (5, 6)))
+        assert Tableau(CellRegion(()), ()).rows == ()

@@ -333,18 +333,14 @@ class TestFamilyTable:
         family = FAMILIES[name]
         seen = set()
         for params in members(family, cap=20):
-            if count_syt(family.region(*params)) > 500 or stair_sq_pivot_defect(
-                name, params
-            ):
+            if count_syt(family.region(*params)) > 500:
                 continue
             got, want = split_histograms(family, params)
             assert got == want, params
             seen.add(("k", params[-1]))
             seen.add(("n=0", family.geometry == "rect" and params[1] == 0))
         least_k = LEAST[name][-1]
-        assert ("k", least_k) in seen
-        if name != "stair-sq":
-            assert ("k", least_k + 1) in seen
+        assert ("k", least_k) in seen and ("k", least_k + 1) in seen
         if family.geometry == "rect":
             assert ("n=0", True) in seen
 
@@ -353,7 +349,6 @@ class TestFamilyTable:
         # k = 2; at k = 3, where they first differ, only the pivot splits.
         family = FAMILIES["stair-sq"]
         for params in [(0, 3), (1, 3)]:
-            assert stair_sq_pivot_defect("stair-sq", params)
             got, want = split_histograms(family, params)
             assert got == want, params
 
@@ -412,10 +407,6 @@ class TestFamilyTable:
             assert ratio.to_integer() == count_syt(region), text
             assert desc.size == region.size, text
         assert claimed == {name for name, f in FAMILIES.items() if f.match}
-
-
-def stair_sq_pivot_defect(name, params):
-    return name == "stair-sq" and params[-1] >= 3
 
 
 def split_histograms(family, params):
