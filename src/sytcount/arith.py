@@ -5,18 +5,21 @@ Ratios of factorials are never evaluated through division.  Prime exponents
 are accumulated with Legendre's formula, summed inline per prime, and a
 result is converted to an integer only at the end; a negative exponent at
 that point raises :class:`NotAnInteger` instead of silently rounding.
-Integer factors are counted before they are factored, so equal integers
-(the many repeated differences of a Frobenius-Young or Schur product) are
-factored once.
+Integer factors arrive as a multiset ``{k: count}`` (the many repeated
+differences of a Frobenius-Young or Schur product are counted in bulk by
+the caller), so each distinct integer is factored once.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat, starmap
+from operator import floordiv, itemgetter, mul
+from typing import Iterable, Mapping, Sequence
 
 _TRIAL_LIMIT = 10**6
 _PRIME_CHECK_STRIDE = 2048
@@ -257,20 +260,15 @@ class FactoredRatio:
     def from_integer(cls, k: int) -> "FactoredRatio":
         return cls().times(k)
 
-    def _with(self, acc: dict[int, int], sign: int) -> "FactoredRatio":
-        return FactoredRatio(
-            tuple(sorted((p, e) for p, e in acc.items() if e != 0)), sign
-        )
-
     def __mul__(self, other: "FactoredRatio") -> "FactoredRatio":
         acc = dict(self.factors)
         _merge(acc, other.factors, 1)
-        return self._with(acc, self.sign * other.sign)
+        return _from_exponents(acc, self.sign * other.sign)
 
     def __truediv__(self, other: "FactoredRatio") -> "FactoredRatio":
         acc = dict(self.factors)
         _merge(acc, other.factors, -1)
-        return self._with(acc, self.sign * other.sign)
+        return _from_exponents(acc, self.sign * other.sign)
 
     def __pow__(self, e: int) -> "FactoredRatio":
         if e < 0:
@@ -282,38 +280,13 @@ class FactoredRatio:
 
     def times(self, *ints: int) -> "FactoredRatio":
         """This ratio multiplied by every integer in ``ints``."""
-        return self._scaled(ints, 1)
+        return _times_powers(self.factors, self.sign, Counter(ints))
 
     def over(self, *ints: int) -> "FactoredRatio":
         """This ratio divided by every integer in ``ints``."""
-        return self._scaled(ints, -1)
-
-    def _scaled(self, ints: Sequence[int], scale: int) -> "FactoredRatio":
-        # Equal integers are counted first and factored once, with their
-        # multiplicity as the step; all factors go into one exponent map,
-        # sorted once at the end.
-        steps: dict[int, int] = {}
-        for k in ints:
-            steps[k] = steps.get(k, 0) + scale
-        acc = dict(self.factors)
-        sign = self.sign
-        spf = _spf
-        for k, w in steps.items():
-            if k == 0:
-                raise ValueError("zero has no factored form")
-            if k < 0:  # the sign flips only at an odd multiplicity
-                sign, k = (-sign if w % 2 else sign), -k
-            if k >= len(spf):
-                if k > _SPF_LIMIT:
-                    _merge(acc, factorize(k).pairs, w)
-                    continue
-                _extend_spf(max(abs(j) for j in steps if abs(j) <= _SPF_LIMIT))
-                spf = _spf
-            while k > 1:
-                p = spf[k] or k
-                acc[p] = acc.get(p, 0) + w
-                k //= p
-        return self._with(acc, sign)
+        return _times_powers(
+            self.factors, self.sign, {k: -w for k, w in Counter(ints).items()}
+        )
 
     @property
     def is_integral(self) -> bool:
@@ -329,7 +302,9 @@ class FactoredRatio:
     def to_integer(self) -> int:
         """The integer this ratio equals; :class:`NotAnInteger` otherwise."""
         self._check_integral()
-        return math.prod(p**e for p, e in self.factors)
+        # Large primes first: the running product stays short until the
+        # big powers of the small primes, which are multiplied in last.
+        return math.prod(starmap(pow, reversed(self.factors)))
 
     def to_fraction(self) -> Fraction:
         num = math.prod(p**e for p, e in self.factors if e > 0)
@@ -350,38 +325,94 @@ class FactoredRatio:
         return ("-" if self.sign < 0 else "") + body
 
 
-def factorial_ratio(
-    numerators: Sequence[int], denominators: Sequence[int]
+def _from_exponents(acc: dict[int, int], sign: int) -> FactoredRatio:
+    return FactoredRatio(tuple(sorted(filter(itemgetter(1), acc.items()))), sign)
+
+
+def _times_powers(
+    factors: Iterable[tuple[int, int]], sign: int, powers: Mapping[int, int]
 ) -> FactoredRatio:
-    """``prod(a!) / prod(b!)`` as a :class:`FactoredRatio`.
+    """The ratio with ``factors`` and ``sign`` multiplied by ``k ** w`` for
+    every ``k: w`` in ``powers``.  Each distinct integer is factored once,
+    and all factors go into one exponent map, sorted once at the end."""
+    acc = dict(factors)
+    spf = _spf
+    for k, w in powers.items():
+        if k == 0:
+            raise ValueError("zero has no factored form")
+        if k < 0:  # the sign flips only at an odd multiplicity
+            sign, k = (-sign if w % 2 else sign), -k
+        if k >= len(spf):
+            if k > _SPF_LIMIT:
+                _merge(acc, factorize(k).pairs, w)
+                continue
+            _extend_spf(max(abs(j) for j in powers if abs(j) <= _SPF_LIMIT))
+            spf = _spf
+        while k > 1:
+            p = spf[k] or k
+            acc[p] = acc.get(p, 0) + w
+            k //= p
+    return _from_exponents(acc, sign)
+
+
+def factorial_ratio(
+    numerators: Sequence[int],
+    denominators: Sequence[int],
+    powers: Mapping[int, int] | None = None,
+) -> FactoredRatio:
+    """``prod(a!) / prod(b!)``, times ``k ** w`` for every ``k: w`` in
+    ``powers``, as a :class:`FactoredRatio`.
 
     Exponents come from Legendre's formula applied per prime, so no big
-    factorial is ever multiplied out.
+    factorial is ever multiplied out; the primes that divide only the
+    largest factorial are handled in one step.
     """
     weight: dict[int, int] = {}
-    for a in numerators:
-        weight[int(a)] = weight.get(int(a), 0) + 1
-    for b in denominators:
-        weight[int(b)] = weight.get(int(b), 0) - 1
-    if any(a < 0 for a in weight):
+    for a in map(int, numerators):
+        weight[a] = weight.get(a, 0) + 1
+    for b in map(int, denominators):
+        weight[b] = weight.get(b, 0) - 1
+    if min(weight, default=0) < 0:
         raise ValueError("factorials of negative integers are undefined")
-    # Equal factorials above and below cancel, and a! holds no prime above
-    # a, so each prime visits only the arguments at least as large.
+    # Equal factorials above and below cancel, 0! = 1! = 1, and a! holds no
+    # prime above a, so each prime visits only the arguments at least as large.
     terms = sorted((a, w) for a, w in weight.items() if w and a > 1)
+    # a!^w / b!^w is (b+1 ... a)^w.  Factoring those integers beats sieving
+    # up to a when they are fewer than a / log2(a)**2, well below the primes
+    # up to a that the sieve route visits.
+    if len(terms) > 1 and terms[-1][1] == -terms[-2][1]:
+        (b, _), (a, w) = terms[-2:]
+        if (a - b) * a.bit_length() ** 2 < a:
+            powers = Counter(powers)
+            powers.update(dict.fromkeys(range(b + 1, a + 1), w))
+            del terms[-2:]
     factors = []
-    lo = 0
-    for p in primes_up_to(terms[-1][0] if terms else 0):
-        while terms[lo][0] < p:
-            lo += 1
-        e = 0
-        for a, w in terms[lo:]:
-            # Legendre's formula: a! holds p to the power sum(a // p**i).
-            while a >= p:
-                a //= p
-                e += w * a
-        if e:
-            factors.append((p, e))
-    return FactoredRatio(tuple(factors), 1)
+    if terms:
+        top, w_top = terms[-1]
+        _extend_sieve(top)
+        end = bisect.bisect_right(_sieve_primes, top)
+        below = terms[-2][0] if len(terms) > 1 else 1
+        cut = bisect.bisect_right(_sieve_primes, max(math.isqrt(top), below), 0, end)
+        lo = 0
+        for p in _sieve_primes[:cut]:
+            while terms[lo][0] < p:
+                lo += 1
+            e = 0
+            for a, w in terms[lo:]:
+                # Legendre's formula: a! holds p to the power sum(a // p**i).
+                while a >= p:
+                    a //= p
+                    e += w * a
+            if e:
+                factors.append((p, e))
+        # Each prime above sqrt(top) and every other argument divides only
+        # top!, exactly top // p times.
+        tail = _sieve_primes[cut:end]
+        exponents = map(floordiv, repeat(top), tail)
+        if w_top != 1:
+            exponents = map(mul, repeat(w_top), exponents)
+        factors += zip(tail, exponents)
+    return _times_powers(factors, 1, powers) if powers else FactoredRatio(tuple(factors))
 
 
 def binomial_ratio(n: int, k: int) -> FactoredRatio:

@@ -572,16 +572,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A ``LO..HI`` value led by a minus sign, which argparse would read as an
-# option rather than as the value of ``--m``, ``--n`` or ``--k``.
-_NEGATIVE_RANGE = re.compile(r"-\d+\.\..*")
+# A ``LO..HI`` range or comma list led by a minus sign, which argparse
+# would read as an option rather than as the value of the option before it.
+_NEGATIVE_LIST = re.compile(r"-\d+(\.\.|,).*")
+_LIST_OPTIONS = ("--m", "--n", "--k", "--mu", "--kappa")
 
 
-def _attach_negative_ranges(argv: Sequence[str]) -> list[str]:
-    """Join ``--m -1..2`` into ``--m=-1..2``, the form argparse accepts."""
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Join ``--m -1..2`` into ``--m=-1..2`` and ``--mu -3,1`` into
+    ``--mu=-3,1``, the forms argparse accepts."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in ("--m", "--n", "--k") and _NEGATIVE_RANGE.fullmatch(tok):
+        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE_LIST.fullmatch(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -591,7 +593,7 @@ def _attach_negative_ranges(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(
-        _attach_negative_ranges(sys.argv[1:] if argv is None else argv)
+        _attach_negative_values(sys.argv[1:] if argv is None else argv)
     )
     try:
         return args.func(args)

@@ -63,13 +63,17 @@ def _cell_masks(region: CellRegion):
             if not up[0] <= c <= up[1]:
                 no_up |= bit
     # Each cell with extra-precedence sources maps to the mask of them;
-    # ``gated`` marks those cells.
+    # ``gated`` marks those cells.  A pair to the cell diagonally below-right
+    # is dropped when a cell between the two is in the region, since the
+    # row and column order then implies it.
     sources: dict[int, int] = {}
     gated = 0
     for (sr, sc), (dr, dc) in region.extra_precedences:
+        src = 1 << ((sr - 1) * width + sc)
         bit = 1 << ((dr - 1) * width + dc)
-        sources[bit] = sources.get(bit, 0) | 1 << ((sr - 1) * width + sc)
-        gated |= bit
+        if bit != src << (width + 1) or not full & (src << 1 | src << width):
+            sources[bit] = sources.get(bit, 0) | src
+            gated |= bit
     return width, full, no_left, no_up, gated, tuple(sources.items())
 
 

@@ -3,11 +3,16 @@ pair-splitting identities.
 
 Every formula is evaluated as a :class:`FactoredRatio` and converted to an
 integer at the end, so a wrong (non-integral) evaluation fails loudly
-instead of rounding.
+instead of rounding.  The Frobenius-Young and Schur products count their
+pairwise differences and sums in bulk and hand the multisets to
+:func:`factorial_ratio`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations, starmap
+from operator import add, sub
 from typing import Iterator
 
 from .arith import FactoredRatio, binomial, factorial_ratio
@@ -37,11 +42,10 @@ def frobenius_young_ratio(lam: PartitionLike) -> FactoredRatio:
     over the ``m`` parts of ``lam``; stable under trailing zeros.
     """
     lam = coerce_partition(lam)
-    parts = lam.parts
-    m = len(parts)
-    return factorial_ratio(
-        [lam.size], [parts[i] + m - i - 1 for i in range(m)]
-    ).times(*(parts[i] - parts[j] + j - i for i in range(m) for j in range(i + 1, m)))
+    m = len(lam.parts)
+    # lam_i - lam_j - i + j is the difference of the first-column hooks.
+    hooks = list(map(add, lam.parts, range(m - 1, -1, -1)))
+    return factorial_ratio([lam.size], hooks, Counter(starmap(sub, combinations(hooks, 2))))
 
 
 def frobenius_young(lam: PartitionLike) -> int:
@@ -55,12 +59,9 @@ def schur_ratio(lam: PartitionLike) -> FactoredRatio:
     """
     lam = coerce_strict(lam)
     parts = lam.parts
-    pairs = [(a, b) for i, a in enumerate(parts) for b in parts[i + 1 :]]
-    return (
-        factorial_ratio([lam.size], list(parts))
-        .times(*(a - b for a, b in pairs))
-        .over(*(a + b for a, b in pairs))
-    )
+    powers = Counter(starmap(sub, combinations(parts, 2)))
+    powers.subtract(Counter(starmap(add, combinations(parts, 2))))
+    return factorial_ratio([lam.size], parts, powers)
 
 
 def schur_count(lam: PartitionLike) -> int:

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -22,6 +24,33 @@ class TestCount:
     def test_auto(self, capsys):
         code, out, _ = run(capsys, "count", "part:3,3")
         assert code == 0 and out == "5\n"
+
+    def test_huge_part_with_a_small_one_needs_no_big_sieve(self):
+        # 10000005! / 10000001! is the product of four integers, factored
+        # directly instead of sieving the primes up to 10^7.
+        script = (
+            "import io, time, contextlib\n"
+            "from sytcount.cli import main\n"
+            "out = io.StringIO()\n"
+            "t0 = time.process_time()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(['count', 'part:10000000,5'])\n"
+            "print(code, out.getvalue().strip(), time.process_time() - t0)\n"
+            "try:\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        print([l.split()[1] for l in fh if l.startswith('VmHWM:')][0])\n"
+            "except OSError:\n"
+            "    print(0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        first, peak_kb = result.stdout.splitlines()
+        code, count, cpu_s = first.split()
+        assert (code, count) == ("0", "833334166666791666558333291999996")
+        assert float(cpu_s) < 0.1
+        assert int(peak_kb) < 25 * 1024
 
     @pytest.mark.parametrize("method", ["formula", "oracle"])
     def test_methods_agree(self, capsys, method):
@@ -475,6 +504,36 @@ class TestScan:
         at = argv.index(option) + 1
         spaced = outcome(argv[:at] + [value] + argv[at + 1 :])
         joined = outcome(argv[: at - 1] + [f"{option}={value}"] + argv[at + 1 :])
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
+
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["verify", "pivot-stair", "--mu", "X", "--m", "0"], "--mu", "-3,1"),
+            (["verify", "coeff-d", "--mu", "X", "--k", "2", "--m", "1", "--n", "1", "--t", "0"],
+             "--mu", "-1,-2"),
+            (["verify", "main-rect", "--mu", "X", "--k", "1", "--m", "1", "--n", "1"], "--mu", "-1,"),
+            (["scan", "--family", "rect-trunc", "--m", "3", "--n", "3", "--kappa", "X"],
+             "--kappa", "-1,1"),
+            (["scan", "--family", "stair-trunc", "--m", "3", "--kappa", "X"], "--kappa", "-2,x"),
+            (["scan", "--family", "stair-corner", "--m", "X"], "--m", "-1,2"),
+        ],
+    )
+    def test_list_led_by_a_minus_sign(self, capsys, argv, option, value):
+        """``--mu -3,1`` reaches the program as ``--mu=-3,1`` does."""
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        at = argv.index(option)
+        spaced = outcome(argv[:at + 1] + [value] + argv[at + 2 :])
+        joined = outcome(argv[:at] + [f"{option}={value}"] + argv[at + 2 :])
         assert spaced == joined
         assert "expected one argument" not in spaced[2]
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sytcount.count import (
     LabelSetMismatch,
+    _cell_masks,
     count_syt,
     count_syt_dfs,
     enumerate_syt,
@@ -227,6 +228,44 @@ class TestDiagonalPrecedences:
         region = shifted_region(lam)
         stripped = CellRegion(region.rows, frozenset(), "general")
         assert count_syt(stripped) == count_syt(region)
+
+
+def gated_cells(region):
+    """Cells whose extra-precedence sources the sweep still checks."""
+    width, *_, gated, _ = _cell_masks(region)
+    return {
+        (r, c) for r, c in region.cells() if gated >> ((r - 1) * width + c) & 1
+    }
+
+
+class TestImpliedPrecedences:
+    def test_only_the_needed_diagonal_pair_is_checked(self):
+        # Row 1 stops at its diagonal cell, so (1, 1) -> (2, 2) stays; row 2
+        # reaches column 3, so (2, 2) -> (3, 3) follows from (2, 3).  The
+        # half-turn keeps the needed pair as (2, 2) -> (3, 3).
+        region = build_region("stair:3/2")
+        assert gated_cells(region) == {(2, 2)}
+        assert gated_cells(rotate180(region)) == {(3, 3)}
+        assert count_syt(region) == count_syt(rotate180(region)) == 1
+
+    @given(st.data())
+    def test_full_shifted_shapes_check_none(self, data):
+        lam = data.draw(st.sampled_from(list(strict_partitions_in_staircase(6))))
+        assert gated_cells(shifted_region(lam)) == set()
+
+    @settings(deadline=None)
+    @given(regions())
+    def test_every_diagonal_pair_attached(self, region):
+        """With every diagonal pair of the region attached, the sweep (which
+        drops the implied ones) agrees with the DFS (which keeps them all)."""
+        cells = set(region.cells())
+        diagonal = frozenset(
+            ((r, c), (r + 1, c + 1)) for r, c in cells if (r + 1, c + 1) in cells
+        )
+        linked = CellRegion(region.rows, region.extra_precedences | diagonal)
+        assert count_syt(linked) == count_syt_dfs(linked)
+        turned = rotate180(linked)
+        assert count_syt(turned) == count_syt_dfs(turned) == count_syt(linked)
 
 
 class TestEnumerate:
