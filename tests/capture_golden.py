@@ -98,9 +98,10 @@ VERIFIES = [
     ("sum-shifted", "--m", "0"), ("sum-shifted", "--m", "4"),
     ("sum-shifted", "--m", "5", "--t", "3"), ("sum-shifted", "--m", "3", "--t", "7"),
     ("sum-shifted", "--m", "3", "--t", "-1"), ("sum-shifted",),
+    ("sum-shifted", "--m", "3", "--t", "2", "--mu", "5", "--k", "9"),
     ("sum-rect", "--m", "2", "--n", "3"), ("sum-rect", "--m", "3", "--n", "3", "--t", "4"),
     ("sum-rect", "--m", "0", "--n", "4"), ("sum-rect", "--m", "2", "--n", "2", "--t", "5"),
-    ("sum-rect", "--m", "2"),
+    ("sum-rect", "--m", "2"), ("sum-rect", "--m", "-1", "--n", "2"),
     ("coeff-c", "--mu", "4", "--m", "3", "--t", "3"),
     ("coeff-c", "--mu", "5,4", "--m", "3", "--t", "2"),
     ("coeff-c", "--mu", "6,5,4", "--m", "3", "--t", "6"),
@@ -115,9 +116,11 @@ VERIFIES = [
     ("coeff-d", "--mu", "1", "--k", "-1", "--m", "2", "--n", "2", "--t", "1"),
     ("coeff-d", "--mu", "1", "--k", "1", "--m", "2", "--n", "2", "--t", "5"),
     ("coeff-d", "--mu", "1", "--k", "1", "--m", "2", "--n", "2"),
+    ("coeff-d", "--mu", "0", "--k", "1", "--m", "-1", "--n", "2"),
     ("main-stair", "--mu", "4,2", "--m", "1"), ("main-stair", "--mu", "5,4", "--m", "3"),
     ("main-stair", "--mu", "0", "--m", "2"), ("main-stair", "--mu", "2", "--m", "2"),
     ("main-stair", "--mu", "3,3", "--m", "1"), ("main-stair", "--m", "2"),
+    ("main-stair", "--mu", "3,3"),
     ("main-rect", "--mu", "1", "--k", "2", "--m", "1", "--n", "1"),
     ("main-rect", "--mu", "2,1", "--k", "2", "--m", "2", "--n", "3"),
     ("main-rect", "--mu", "0", "--k", "1", "--m", "0", "--n", "2"),
@@ -125,9 +128,11 @@ VERIFIES = [
     ("main-rect", "--mu", "0", "--k", "0", "--m", "1", "--n", "1"),
     ("main-rect", "--mu", "1,1", "--k", "1", "--m", "1", "--n", "1"),
     ("main-rect", "--mu", "1", "--k", "1", "--m", "1"),
+    ("main-rect", "--mu", "0", "--k", "1", "--m", "-1"),
     ("binomial", "--t1", "2", "--t2", "3", "--N", "4"),
     ("binomial", "--t1", "0", "--t2", "0", "--N", "0"),
     ("binomial", "--t1", "2", "--t2", "3"),
+    ("binomial", "--t1", "2", "--t2", "3", "--N", "-5"),
     # pivot-stair: sq+1 at k = 1, 2, 3, sq at k = 2, 3, and prefixes of no family
     ("pivot-stair", "--mu", "1", "--m", "0"), ("pivot-stair", "--mu", "3", "--m", "2"),
     ("pivot-stair", "--mu", "2,1", "--m", "0"), ("pivot-stair", "--mu", "4,3", "--m", "2"),
