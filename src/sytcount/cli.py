@@ -12,8 +12,9 @@ import json
 import os
 import re
 import sys
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arith import FactoredRatio
 from .count import count_syt, enumerate_syt
@@ -226,28 +227,12 @@ def _print_check(label: str, lhs: int, rhs: int) -> int:
 def _verify_sum(label: str, want: int, top: int, sum_at, t: int | None) -> int:
     """Check ``sum_at(t) == want`` at size ``t``, or at every size up to ``top``."""
     if t is not None:
-        return _print_check(f"{label} t={t}", sum_at(t), want)
+        return _print_check(label, sum_at(t), want)
     bad = [s for s in range(top + 1) if sum_at(s) != want]
     print(f"{label} all t")
     print(f"RHS {_decimal(want)}")
     print("PASS" if not bad else f"FAIL at t={bad}")
     return 0 if not bad else 1
-
-
-def _verify_sum_shifted(args) -> int:
-    m = _require(args, "m")
-    return _verify_sum(
-        f"identity sum-shifted m={m}", staircase_count(m), m * (m + 1) // 2,
-        lambda t: sum_identity_shifted(m, t), args.t,
-    )
-
-
-def _verify_sum_rect(args) -> int:
-    m, n = _require(args, "m"), _require(args, "n")
-    return _verify_sum(
-        f"identity sum-rect m={m} n={n}", rectangle_count(m, n), m * n,
-        lambda t: sum_identity_rect(m, n, t), args.t,
-    )
 
 
 def _verify_coeff(label: str, coefficient: FactoredRatio, terms, count_of) -> int:
@@ -266,125 +251,91 @@ def _verify_coeff(label: str, coefficient: FactoredRatio, terms, count_of) -> in
     return 0 if not failures else 1
 
 
-def _verify_coeff_c(args) -> int:
-    mu = StrictPartition(_require(args, "mu"))
-    m, t = _require(args, "m"), _require(args, "t")
-    return _verify_coeff(
-        f"identity coeff-c mu={mu} m={m} t={t}", coeff_c(mu, m, t),
-        stair_pair_terms(mu, m, size=t), schur_ratio,
-    )
+def _verify_pivot(label: str, report) -> int:
+    head = f"{label}\nregion cells {report.region.size} pivot {report.pivot}"
+    return _print_check(head, report.tableau_count, report.identity_sum)
 
 
-def _verify_coeff_d(args) -> int:
-    mu = Partition(_require(args, "mu"))
-    k, (m, n), t = _require(args, "k"), _sides(args), _require(args, "t")
-    return _verify_coeff(
-        f"identity coeff-d mu={mu} k={k} m={m} n={n} t={t}", coeff_d(mu, k, m, n, t),
-        rect_pair_terms(mu, k, m, n, size=t), frobenius_young_ratio,
-    )
-
-
-def _verify_main_stair(args) -> int:
-    mu = StrictPartition(_require(args, "mu"))
-    m = _require(args, "m")
-    return _print_check(
-        f"identity main-stair mu={mu} m={m}",
-        theorem_staircase_sum_direct(mu, m),
-        theorem_staircase_sum(mu, m),
-    )
-
-
-def _verify_main_rect(args) -> int:
-    mu = Partition(_require(args, "mu"))
-    k, (m, n) = _require(args, "k"), _sides(args)
-    return _print_check(
-        f"identity main-rect mu={mu} k={k} m={m} n={n}",
-        theorem_rect_sum_direct(mu, k, m, n),
-        theorem_rect_sum(mu, k, m, n),
-    )
-
-
-def _verify_binomial(args) -> int:
-    t1, t2, upper = _require(args, "t1"), _require(args, "t2"), _require(args, "N")
-    return _print_check(
-        f"identity binomial t1={t1} t2={t2} N={upper}",
-        binomial_convolution_lhs(t1, t2, upper),
-        binomial(t1 + t2 + upper + 1, t1 + t2 + 1),
-    )
-
-
-def _verify_pivot_stair(args) -> int:
-    mu = StrictPartition(_require(args, "mu"))
-    m = _require(args, "m")
-    report = verify_pivot_identity_staircase(mu, m)
-    return _finish_report(f"identity pivot-stair mu={mu} m={m}", report)
-
-
-def _verify_pivot_rect(args) -> int:
-    mu = Partition(_require(args, "mu"))
-    k, (m, n) = _require(args, "k"), _sides(args)
-    report = verify_pivot_identity_rect(mu, k, m, n)
-    return _finish_report(f"identity pivot-rect mu={mu} k={k} m={m} n={n}", report)
-
-
-def _finish_report(label: str, report) -> int:
-    print(label)
-    return _print_check(
-        f"region cells {report.region.size} pivot {report.pivot}",
-        report.tableau_count,
-        report.identity_sum,
-    )
-
-
-def _verify_conjecture(args) -> int:
-    n = _require(args, "n")
+def _verify_conjecture(label: str, n: int) -> int:
     region = square_minus_two_region(n)
     _check_budget(region.size)
     print("CONJECTURE: the closed form below is unproved")
-    return _print_check(
-        f"identity conjecture n={n}",
-        count_syt(region),
-        conjecture_square_minus_two(n),
-    )
+    return _print_check(label, count_syt(region), conjecture_square_minus_two(n))
 
+
+@dataclass(frozen=True)
+class _Identity:
+    """How ``verify`` reads one identity's options and checks them.
+
+    ``options`` are read in order, so a missing one is reported before any
+    later one.  ``--mu`` is read as a ``mu`` (strict or ordinary) partition,
+    the ``nonnegative`` options are checked once the last of them is read,
+    and ``--t`` may be left out where ``t_optional``.  ``check`` takes the
+    label and the values and calls the library by module-level name, so a
+    wrapper put there is seen.
+    """
+
+    options: tuple[str, ...]
+    check: Callable[..., int]
+    mu: type | None = None
+    nonnegative: tuple[str, ...] = ()
+    t_optional: bool = False
+
+
+_BOX = ("m", "n")  # the box sides of a rectangle identity
 
 _IDENTITIES = {
-    "sum-shifted": _verify_sum_shifted,
-    "sum-rect": _verify_sum_rect,
-    "coeff-c": _verify_coeff_c,
-    "coeff-d": _verify_coeff_d,
-    "main-stair": _verify_main_stair,
-    "main-rect": _verify_main_rect,
-    "binomial": _verify_binomial,
-    "pivot-stair": _verify_pivot_stair,
-    "pivot-rect": _verify_pivot_rect,
-    "conjecture": _verify_conjecture,
+    "sum-shifted": _Identity(("m", "t"), t_optional=True, check=lambda label, m, t: (
+        _verify_sum(label, staircase_count(m), m * (m + 1) // 2,
+                    lambda s: sum_identity_shifted(m, s), t))),
+    "sum-rect": _Identity(
+        ("m", "n", "t"), nonnegative=_BOX, t_optional=True, check=lambda label, m, n, t: (
+            _verify_sum(label, rectangle_count(m, n), m * n,
+                        lambda s: sum_identity_rect(m, n, s), t))),
+    "coeff-c": _Identity(("mu", "m", "t"), mu=StrictPartition, check=lambda label, *v: (
+        _verify_coeff(label, coeff_c(*v), stair_pair_terms(*v), schur_ratio))),
+    "coeff-d": _Identity(
+        ("mu", "k", "m", "n", "t"), mu=Partition, nonnegative=_BOX, check=lambda label, *v: (
+            _verify_coeff(label, coeff_d(*v), rect_pair_terms(*v), frobenius_young_ratio))),
+    "main-stair": _Identity(("mu", "m"), mu=StrictPartition, check=lambda label, *v: (
+        _print_check(label, theorem_staircase_sum_direct(*v), theorem_staircase_sum(*v)))),
+    "main-rect": _Identity(
+        ("mu", "k", "m", "n"), mu=Partition, nonnegative=_BOX, check=lambda label, *v: (
+            _print_check(label, theorem_rect_sum_direct(*v), theorem_rect_sum(*v)))),
+    "binomial": _Identity(
+        ("t1", "t2", "N"), nonnegative=("t1", "t2", "N"), check=lambda label, t1, t2, up: (
+            _print_check(label, binomial_convolution_lhs(t1, t2, up),
+                         binomial(t1 + t2 + up + 1, t1 + t2 + 1)))),
+    "pivot-stair": _Identity(("mu", "m"), mu=StrictPartition, check=lambda label, *v: (
+        _verify_pivot(label, verify_pivot_identity_staircase(*v)))),
+    "pivot-rect": _Identity(
+        ("mu", "k", "m", "n"), mu=Partition, nonnegative=_BOX, check=lambda label, *v: (
+            _verify_pivot(label, verify_pivot_identity_rect(*v)))),
+    "conjecture": _Identity(("n",), check=_verify_conjecture),
 }
 
 
-def _require(args: argparse.Namespace, name: str):
+def _option(args: argparse.Namespace, name: str, owner: str):
+    """The value of ``--name``, which ``owner`` (an identity or a family) needs."""
     value = getattr(args, name)
     if value is None:
-        raise UnknownIdentity(
-            f"identity {args.identity!r} needs --{name}"
-        )
+        raise UnknownIdentity(f"{owner} needs --{name}")
     return value
 
 
-def _sides(args: argparse.Namespace) -> tuple[int, int]:
-    """The box sides ``--m`` and ``--n`` of a rectangle identity."""
-    m, n = _require(args, "m"), _require(args, "n")
-    for name, value in (("m", m), ("n", n)):
-        if value < 0:
-            raise ValueError(f"--{name} must be nonnegative, got {value}")
-    return m, n
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    handler = _IDENTITIES.get(args.identity)
-    if handler is None:
-        raise UnknownIdentity(f"unknown identity {args.identity!r}")
-    return handler(args)
+    spec = _IDENTITIES[args.identity]
+    owner = f"identity {args.identity!r}"
+    values = {}
+    for name in spec.options:
+        value = args.t if name == "t" and spec.t_optional else _option(args, name, owner)
+        values[name] = spec.mu(value) if name == "mu" else value
+        if spec.nonnegative and name == spec.nonnegative[-1]:
+            for key in spec.nonnegative:
+                if values[key] < 0:
+                    raise ValueError(f"--{key} must be nonnegative, got {values[key]}")
+    words = [f"{key}={value}" for key, value in values.items() if value is not None]
+    return spec.check(" ".join(["identity", args.identity, *words]), *values.values())
 
 
 # Scan family -> (parameter names, region builder, closed form): the family
@@ -411,11 +362,9 @@ def _scan_rows(args) -> list[tuple[dict, int, FactoredRatio]]:
     names, region_of, ratio_of = _SCAN_FAMILIES[args.family]
     if ratio_of is None:
         kappa = Partition(args.kappa or ())
-    for name in names:
-        if getattr(args, name) is None:
-            raise UnknownIdentity(f"family {args.family!r} needs --{name}")
+    axes = [_option(args, name, f"family {args.family!r}") for name in names]
     rows = []
-    for values in _grid([getattr(args, name) for name in names]):
+    for values in _grid(axes):
         params = dict(zip(names, values))
         if ratio_of is None:
             region = region_of(*values, kappa)

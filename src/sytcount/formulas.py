@@ -35,6 +35,26 @@ class PartTooSmall(ValueError):
     """A prefix partition part does not clear the required threshold."""
 
 
+def _stair_prefix(mu: PartitionLike, m: int) -> StrictPartition:
+    """``mu`` as the strict prefix of a staircase identity over order ``m``:
+    every part must exceed ``m``."""
+    mu = coerce_strict(mu)
+    if mu.parts and mu.parts[-1] <= m:
+        raise PartTooSmall(f"every part of {mu} must exceed {m}")
+    return mu
+
+
+def _rect_prefix(mu: PartitionLike, k: int) -> Partition:
+    """``mu`` as the prefix of a rectangle identity with ``k`` rows: k must
+    be positive and ``mu`` has at most k parts."""
+    mu = coerce_partition(mu)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if len(mu.parts) > k:
+        raise ValueError(f"{mu} has more than {k} parts")
+    return mu
+
+
 def frobenius_young_ratio(lam: PartitionLike) -> FactoredRatio:
     """Count of standard tableaux of an ordinary shape, in factored form.
 
@@ -112,9 +132,7 @@ def coeff_c(mu: PartitionLike, m: int, t: int) -> FactoredRatio:
     where ``|`` is part union, ``lam_c`` the staircase complement, and
     ``g`` the shifted tableau count.
     """
-    mu = coerce_strict(mu)
-    if mu.parts and mu.parts[-1] <= m:
-        raise PartTooSmall(f"every part of {mu} must exceed {m}")
+    mu = _stair_prefix(mu, m)
     big = m * (m + 1) // 2
     if not 0 <= t <= big:
         raise ValueError(f"need 0 <= t <= {big}, got {t}")

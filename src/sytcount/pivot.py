@@ -33,7 +33,7 @@ from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .count import count_syt, enumerate_syt, is_valid_tableau
-from .formulas import PartTooSmall, rect_pair_terms, stair_pair_terms
+from .formulas import _rect_prefix, _stair_prefix, rect_pair_terms, stair_pair_terms
 from .shapes import (
     Cell,
     CellRegion,
@@ -44,8 +44,6 @@ from .shapes import (
     ShapeError,
     StrictPartition,
     Tableau,
-    coerce_partition,
-    coerce_strict,
     ordinary_region,
     shifted_region,
 )
@@ -334,7 +332,6 @@ def pivot_shape_histogram(
 class PivotReport:
     """Comparison of a brute-force count with a complementary-pair sum."""
 
-    description: str
     region: CellRegion
     pivot: Cell
     tableau_count: int
@@ -346,36 +343,33 @@ class PivotReport:
         return self.tableau_count == self.identity_sum
 
 
-def _square_family(
-    geometry: str, mu: Partition | StrictPartition, params: tuple, missing: str
-) -> tuple[CellRegion, Cell]:
-    """Region and pivot cell of the family whose prefix at ``params`` is ``mu``."""
+def _pivot_report(
+    geometry: str, mu: Partition | StrictPartition, params: tuple, terms, missing: str
+) -> PivotReport:
+    """Count the region of the family whose prefix at ``params`` is ``mu``
+    by brute force, and sum the pair products of ``terms`` beside it."""
     for family in FAMILIES.values():
         if family.geometry == geometry and family.mu and family.mu(*params) == mu:
-            return family.region(*params), family.pivot(*params)
-    raise UnsupportedRegion(missing)
+            break
+    else:
+        raise UnsupportedRegion(missing)
+    region, pivot = family.region(*params), family.pivot(*params)
+    terms = tuple(((a, b), prod) for _, _, a, b, prod in terms)
+    return PivotReport(region, pivot, count_syt(region), sum(p for _, p in terms), terms)
 
 
 def verify_pivot_identity_staircase(mu: PartitionLike, m: int) -> PivotReport:
     """Count the staircase-family truncated shape by brute force and
     compare with the sum of shifted pair products it must equal.
     """
-    mu = coerce_strict(mu)
-    if mu.parts and mu.parts[-1] <= m:
-        raise PartTooSmall(f"every part of {mu} must exceed {m}")
+    mu = _stair_prefix(mu, m)
     if not mu.parts:
         # Without a prefix the shape is the untruncated staircase, which
         # has no pivot cell; the fixed-size sum identity covers it instead.
         raise UnsupportedRegion("empty prefix: the full staircase has no pivot")
-    region, pivot = _square_family(
-        "stair", mu, (m, len(mu.parts)),
+    return _pivot_report(
+        "stair", mu, (m, len(mu.parts)), stair_pair_terms(mu, m),
         f"no truncated staircase corresponds to the prefix {mu} over order {m}",
-    )
-    terms = tuple(((a, b), prod) for _, _, a, b, prod in stair_pair_terms(mu, m))
-    total = sum(prod for _, prod in terms)
-    return PivotReport(
-        f"staircase family mu={mu} m={m}",
-        region, pivot, count_syt(region), total, terms,
     )
 
 
@@ -385,17 +379,8 @@ def verify_pivot_identity_rect(
     """Count the rectangle-family truncated shape by brute force and
     compare with the sum of ordinary pair products it must equal.
     """
-    mu = coerce_partition(mu)
-    if len(mu.parts) > k:
-        raise ValueError(f"{mu} has more than {k} parts")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    region, pivot = _square_family(
-        "rect", mu, (m, n, k), f"no truncated rectangle corresponds to mu={mu}, k={k}"
-    )
-    terms = tuple(((a, b), prod) for _, _, a, b, prod in rect_pair_terms(mu, k, m, n))
-    total = sum(prod for _, prod in terms)
-    return PivotReport(
-        f"rectangle family mu={mu} k={k} m={m} n={n}",
-        region, pivot, count_syt(region), total, terms,
+    mu = _rect_prefix(mu, k)
+    return _pivot_report(
+        "rect", mu, (m, n, k), rect_pair_terms(mu, k, m, n),
+        f"no truncated rectangle corresponds to mu={mu}, k={k}",
     )

@@ -15,7 +15,8 @@ from typing import Callable
 
 from .arith import FactoredRatio, factorial_ratio
 from .formulas import (
-    PartTooSmall,
+    _rect_prefix,
+    _stair_prefix,
     frobenius_young_ratio,
     rect_pair_terms,
     rectangle_ratio,
@@ -29,8 +30,6 @@ from .shapes import (
     PartitionLike,
     ShapeDescriptor,
     StrictPartition,
-    coerce_partition,
-    coerce_strict,
     staircase,
     truncated_rectangle_region,
     truncated_staircase_region,
@@ -45,9 +44,7 @@ def theorem_staircase_sum_ratio(mu: PartitionLike, m: int) -> FactoredRatio:
     ``g(mu | m..1) * g(mu) * (M + 2u + 1)! u! / ((M + u)! (2u + 1)!)``
     with ``M = m(m+1)/2`` and ``u = |mu|``.
     """
-    mu = coerce_strict(mu)
-    if mu.parts and mu.parts[-1] <= m:
-        raise PartTooSmall(f"every part of {mu} must exceed {m}")
+    mu = _stair_prefix(mu, m)
     big = m * (m + 1) // 2
     u = mu.size
     return (
@@ -63,9 +60,7 @@ def theorem_staircase_sum(mu: PartitionLike, m: int) -> int:
 
 def theorem_staircase_sum_direct(mu: PartitionLike, m: int) -> int:
     """The same sum assembled term by term; exponential in ``m``."""
-    mu = coerce_strict(mu)
-    if mu.parts and mu.parts[-1] <= m:
-        raise PartTooSmall(f"every part of {mu} must exceed {m}")
+    mu = _stair_prefix(mu, m)
     return sum(term[-1] for term in stair_pair_terms(mu, m))
 
 
@@ -76,11 +71,7 @@ def theorem_rect_sum_ratio(mu: PartitionLike, k: int, m: int, n: int) -> Factore
     ``f(mu + (m+n)^k) * f(mu) * f(n^m) * C(mn + 2u + mk + nk + 1, mn)
     * (u + mk)! (u + nk)! / ((u + mk + nk)! u!)`` with ``u = |mu|``.
     """
-    mu = coerce_partition(mu)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if len(mu.parts) > k:
-        raise ValueError(f"{mu} has more than {k} parts")
+    mu = _rect_prefix(mu, k)
     u = mu.size
     top = m * n + 2 * u + (m + n) * k + 1
     return (
@@ -100,11 +91,7 @@ def theorem_rect_sum(mu: PartitionLike, k: int, m: int, n: int) -> int:
 
 def theorem_rect_sum_direct(mu: PartitionLike, k: int, m: int, n: int) -> int:
     """The same sum assembled term by term."""
-    mu = coerce_partition(mu)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if len(mu.parts) > k:
-        raise ValueError(f"{mu} has more than {k} parts")
+    mu = _rect_prefix(mu, k)
     return sum(term[-1] for term in rect_pair_terms(mu, k, m, n))
 
 

@@ -391,6 +391,26 @@ class TestVerify:
         )
         assert code == 2 and err == "error: identity 'main-rect' needs --n\n"
 
+    @pytest.mark.parametrize(
+        "argv,name,value",
+        [
+            (("binomial", "--t1", "2", "--t2", "3", "--N", "-5"), "N", -5),
+            (("binomial", "--t1", "-1", "--t2", "3", "--N", "4"), "t1", -1),
+            (("binomial", "--t1", "0", "--t2", "-2", "--N", "0"), "t2", -2),
+            (("sum-rect", "--m", "-1", "--n", "2"), "m", -1),
+            (("sum-rect", "--m", "2", "--n", "-3", "--t", "1"), "n", -3),
+        ],
+        ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a),
+    )
+    def test_negative_size_names_the_option(self, capsys, argv, name, value):
+        assert run(capsys, "verify", *argv) == (
+            2, "", f"error: --{name} must be nonnegative, got {value}\n"
+        )
+
+    def test_missing_size_is_reported_before_a_negative_one(self, capsys):
+        code, out, err = run(capsys, "verify", "binomial", "--t1", "-1", "--t2", "3")
+        assert (code, out, err) == (2, "", "error: identity 'binomial' needs --N\n")
+
     def test_check_helper_reports_failures(self, capsys):
         assert _print_check("demo", 1, 2) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "FAIL"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sytcount.count import LabelSetMismatch, count_syt, enumerate_syt
-from sytcount.formulas import PartTooSmall, frobenius_young, schur_count
+from sytcount.formulas import PartTooSmall, coeff_c, frobenius_young, schur_count
 from sytcount.pivot import (
     IncompatibleShapes,
     NotOnBoundary,
@@ -40,6 +40,12 @@ from sytcount.shapes import (
     shifted_region,
     strict_partitions_in_staircase,
     truncated_staircase_region,
+)
+from sytcount.truncated import (
+    theorem_rect_sum_direct,
+    theorem_rect_sum_ratio,
+    theorem_staircase_sum_direct,
+    theorem_staircase_sum_ratio,
 )
 
 # A staircase tableau and its split at threshold 7, checked by hand.
@@ -395,6 +401,39 @@ class TestPivotIdentities:
     def test_small_parts_rejected(self):
         with pytest.raises(PartTooSmall):
             verify_pivot_identity_staircase(StrictPartition((2,)), 2)
+
+    # Every check of a staircase prefix, and every check of a rectangle
+    # prefix, must refuse a bad prefix with the same exception and message.
+    STAIR_TWINS = [
+        lambda mu, m: coeff_c(mu, m, 0),
+        theorem_staircase_sum_ratio,
+        theorem_staircase_sum_direct,
+        verify_pivot_identity_staircase,
+    ]
+    RECT_TWINS = [theorem_rect_sum_ratio, theorem_rect_sum_direct, verify_pivot_identity_rect]
+
+    @staticmethod
+    def refusals(calls) -> set:
+        seen = set()
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            seen.add((info.type, str(info.value)))
+        return seen
+
+    @pytest.mark.parametrize(
+        "mu,m", [((2,), 2), ((3, 1), 1), ((4, 2), 3), ((3, 3), 0), ((1, 2), 0)]
+    )
+    def test_staircase_twins_refuse_a_bad_prefix_alike(self, mu, m):
+        seen = self.refusals(lambda f=f: f(mu, m) for f in self.STAIR_TWINS)
+        assert len(seen) == 1, seen
+
+    @pytest.mark.parametrize(
+        "mu,k", [((1,), 0), ((), 0), ((), -1), ((1, 1), 1), ((2, 1), -1), ((1, 2), 2)]
+    )
+    def test_rect_twins_refuse_a_bad_prefix_alike(self, mu, k):
+        seen = self.refusals(lambda f=f: f(mu, k, 1, 1) for f in self.RECT_TWINS)
+        assert len(seen) == 1, seen
 
 
 # --- Reference: the split and reassembly that worked cell by cell ---------
