@@ -99,6 +99,7 @@ VERIFIES = [
     ("sum-shifted", "--m", "5", "--t", "3"), ("sum-shifted", "--m", "3", "--t", "7"),
     ("sum-shifted", "--m", "3", "--t", "-1"), ("sum-shifted",),
     ("sum-shifted", "--m", "3", "--t", "2", "--mu", "5", "--k", "9"),
+    ("sum-shifted", "--m", "-1"),
     ("sum-rect", "--m", "2", "--n", "3"), ("sum-rect", "--m", "3", "--n", "3", "--t", "4"),
     ("sum-rect", "--m", "0", "--n", "4"), ("sum-rect", "--m", "2", "--n", "2", "--t", "5"),
     ("sum-rect", "--m", "2"), ("sum-rect", "--m", "-1", "--n", "2"),
@@ -109,6 +110,7 @@ VERIFIES = [
     ("coeff-c", "--mu", "5", "--m", "3", "--t", "7"),
     ("coeff-c", "--mu", "4,4", "--m", "2", "--t", "1"),
     ("coeff-c", "--mu", "4", "--m", "3"),
+    ("coeff-c", "--mu", "1", "--m", "-1", "--t", "0"),
     ("coeff-d", "--mu", "1", "--k", "2", "--m", "2", "--n", "2", "--t", "2"),
     ("coeff-d", "--mu", "2,1", "--k", "2", "--m", "2", "--n", "3", "--t", "3"),
     ("coeff-d", "--mu", "0", "--k", "1", "--m", "3", "--n", "2", "--t", "4"),
@@ -120,7 +122,7 @@ VERIFIES = [
     ("main-stair", "--mu", "4,2", "--m", "1"), ("main-stair", "--mu", "5,4", "--m", "3"),
     ("main-stair", "--mu", "0", "--m", "2"), ("main-stair", "--mu", "2", "--m", "2"),
     ("main-stair", "--mu", "3,3", "--m", "1"), ("main-stair", "--m", "2"),
-    ("main-stair", "--mu", "3,3"),
+    ("main-stair", "--mu", "3,3"), ("main-stair", "--mu", "1", "--m", "-1"),
     ("main-rect", "--mu", "1", "--k", "2", "--m", "1", "--n", "1"),
     ("main-rect", "--mu", "2,1", "--k", "2", "--m", "2", "--n", "3"),
     ("main-rect", "--mu", "0", "--k", "1", "--m", "0", "--n", "2"),
@@ -142,6 +144,7 @@ VERIFIES = [
     ("pivot-stair", "--mu", "5,4", "--m", "3"), ("pivot-stair", "--mu", "4", "--m", "1"),
     ("pivot-stair", "--mu", "0", "--m", "2"), ("pivot-stair", "--mu", "2", "--m", "2"),
     ("pivot-stair", "--mu", "3,3", "--m", "1"), ("pivot-stair", "--mu", "3,1"),
+    ("pivot-stair", "--mu", "1", "--m", "-1"),
     # pivot-rect: sq+1 (mu empty) at k = 1, 2, 3 with n = 0 and m = 0, sq at k = 2, 3
     ("pivot-rect", "--mu", "0", "--k", "1", "--m", "1", "--n", "1"),
     ("pivot-rect", "--mu", "0", "--k", "1", "--m", "2", "--n", "0"),
