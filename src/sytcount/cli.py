@@ -283,22 +283,26 @@ class _Identity:
 
 
 _BOX = ("m", "n")  # the box sides of a rectangle identity
+_ORDER = ("m",)  # the order of a staircase identity
 
 _IDENTITIES = {
-    "sum-shifted": _Identity(("m", "t"), t_optional=True, check=lambda label, m, t: (
-        _verify_sum(label, staircase_count(m), m * (m + 1) // 2,
-                    lambda s: sum_identity_shifted(m, s), t))),
+    "sum-shifted": _Identity(
+        ("m", "t"), nonnegative=_ORDER, t_optional=True, check=lambda label, m, t: (
+            _verify_sum(label, staircase_count(m), m * (m + 1) // 2,
+                        lambda s: sum_identity_shifted(m, s), t))),
     "sum-rect": _Identity(
         ("m", "n", "t"), nonnegative=_BOX, t_optional=True, check=lambda label, m, n, t: (
             _verify_sum(label, rectangle_count(m, n), m * n,
                         lambda s: sum_identity_rect(m, n, s), t))),
-    "coeff-c": _Identity(("mu", "m", "t"), mu=StrictPartition, check=lambda label, *v: (
-        _verify_coeff(label, coeff_c(*v), stair_pair_terms(*v), schur_ratio))),
+    "coeff-c": _Identity(
+        ("mu", "m", "t"), mu=StrictPartition, nonnegative=_ORDER, check=lambda label, *v: (
+            _verify_coeff(label, coeff_c(*v), stair_pair_terms(*v), schur_ratio))),
     "coeff-d": _Identity(
         ("mu", "k", "m", "n", "t"), mu=Partition, nonnegative=_BOX, check=lambda label, *v: (
             _verify_coeff(label, coeff_d(*v), rect_pair_terms(*v), frobenius_young_ratio))),
-    "main-stair": _Identity(("mu", "m"), mu=StrictPartition, check=lambda label, *v: (
-        _print_check(label, theorem_staircase_sum_direct(*v), theorem_staircase_sum(*v)))),
+    "main-stair": _Identity(
+        ("mu", "m"), mu=StrictPartition, nonnegative=_ORDER, check=lambda label, *v: (
+            _print_check(label, theorem_staircase_sum_direct(*v), theorem_staircase_sum(*v)))),
     "main-rect": _Identity(
         ("mu", "k", "m", "n"), mu=Partition, nonnegative=_BOX, check=lambda label, *v: (
             _print_check(label, theorem_rect_sum_direct(*v), theorem_rect_sum(*v)))),
@@ -306,8 +310,9 @@ _IDENTITIES = {
         ("t1", "t2", "N"), nonnegative=("t1", "t2", "N"), check=lambda label, t1, t2, up: (
             _print_check(label, binomial_convolution_lhs(t1, t2, up),
                          binomial(t1 + t2 + up + 1, t1 + t2 + 1)))),
-    "pivot-stair": _Identity(("mu", "m"), mu=StrictPartition, check=lambda label, *v: (
-        _verify_pivot(label, verify_pivot_identity_staircase(*v)))),
+    "pivot-stair": _Identity(
+        ("mu", "m"), mu=StrictPartition, nonnegative=_ORDER, check=lambda label, *v: (
+            _verify_pivot(label, verify_pivot_identity_staircase(*v)))),
     "pivot-rect": _Identity(
         ("mu", "k", "m", "n"), mu=Partition, nonnegative=_BOX, check=lambda label, *v: (
             _verify_pivot(label, verify_pivot_identity_rect(*v)))),

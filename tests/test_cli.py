@@ -399,6 +399,10 @@ class TestVerify:
             (("binomial", "--t1", "0", "--t2", "-2", "--N", "0"), "t2", -2),
             (("sum-rect", "--m", "-1", "--n", "2"), "m", -1),
             (("sum-rect", "--m", "2", "--n", "-3", "--t", "1"), "n", -3),
+            (("sum-shifted", "--m", "-1"), "m", -1),
+            (("coeff-c", "--mu", "1", "--m", "-1", "--t", "0"), "m", -1),
+            (("main-stair", "--mu", "1", "--m", "-2"), "m", -2),
+            (("pivot-stair", "--mu", "1", "--m", "-1"), "m", -1),
         ],
         ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a),
     )
