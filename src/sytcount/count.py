@@ -7,12 +7,18 @@ stores each ideal as an int bitmask of cells.  It sweeps label by label
 over a dictionary from reachable ideals to the number of ways of reaching
 them, which stays small (it is the set of order ideals) even when the
 number of fillings is astronomically large.
+
+When one boundary row of the region is long and loosely tied to its
+neighbour, the line kernel turns the region so that row comes last and
+sweeps only the ideals of the other rows, each carrying one count per
+filled prefix of the last row.  Enumeration and the DFS cross-check share
+one backtracking walker, which is independent of both sweeps.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import lt
+from itertools import accumulate, chain
+from operator import add, itemgetter, lt
 from typing import Iterator
 
 from .shapes import CellRegion, Tableau
@@ -77,8 +83,119 @@ def _cell_masks(region: CellRegion):
     return width, full, no_left, no_up, gated, tuple(sources.items())
 
 
+# The line kernel runs once the region has at least this many order ideals
+# per ideal of the region minus its last row, both estimated by
+# ``_ideal_counts``.  Timed on 150 random shapes, the kernel won on every
+# shape from this ratio on and lost on most below 2 (README, "Counting").
+_LINE_CROSSOVER = 3
+
+
+def _ideal_counts(rows) -> tuple[int, int]:
+    """Order ideals of the rows above the last one, and of all the rows.
+
+    Extra precedences are ignored, so both are upper bounds.  An ideal
+    fills a prefix of each row, and a row may hold ``x`` cells when the
+    row above has filled every column the first ``x`` share with it.
+    ``tail[k]`` counts the ideals of the rows so far whose last row holds
+    at least ``k`` cells; each row gathers its ways from the row above's
+    ``tail`` in three slices.
+    """
+    above, tail = 1, [1]
+    ps = pe = 0  # the row above; column 0 is in no row
+    for s, e in rows:
+        size = e - s + 1
+        above = tail[0]
+        if s > pe:  # the first row, or one that shares no column with it
+            ways = [above] * (size + 1)
+        else:
+            top = pe - ps + 1
+            shift = ps - s  # fills 1..shift reach no column of the row above
+            low = min(max(shift, 0), size)
+            lo = max(1 - shift, 1)
+            hi = max(min(size - shift, top - 1) + 1, lo)
+            ways = [above] * (1 + low) + tail[lo:hi] + [tail[top]] * (size - low - hi + lo)
+        tail = list(accumulate(reversed(ways)))
+        tail.reverse()
+        ps, pe = s, e
+    return above, tail[0]
+
+
+def _transposed_rows(rows, ncols):
+    """Row intervals of the transposed region, or None when a column in
+    1..``ncols`` is empty, since the transpose would have an empty row."""
+    first = [0] * (ncols + 1)
+    last = [0] * (ncols + 1)
+    for r, (s, e) in enumerate(rows, start=1):
+        last[s : e + 1] = [r] * (e - s + 1)
+    for r in range(len(rows), 0, -1):
+        s, e = rows[r - 1]
+        first[s : e + 1] = [r] * (e - s + 1)
+    if 0 in first[1:]:
+        return None
+    return tuple(zip(first[1:], last[1:]))
+
+
+def _turned_rows(rows, ncols):
+    """Row intervals after a half-turn inside columns 1..``ncols``."""
+    return tuple((ncols + 1 - e, ncols + 1 - s) for s, e in reversed(rows))
+
+
+def _line_region(region: CellRegion) -> CellRegion | None:
+    """The orientation of ``region`` the line kernel should sweep, or None
+    when the plain sweep should count it.
+
+    Of the region as it is, turned, transposed, and transposed then turned,
+    take the one whose rows above the last have the fewest order ideals;
+    the kernel runs when the region has at least ``_LINE_CROSSOVER`` ideals
+    per ideal of those rows, the orientation keeps two rows, and no extra
+    precedence leaves its last row.  Only the chosen orientation is built.
+    """
+    rows = region.rows
+    if len(rows) < 2:
+        return None
+    ncols = region.max_col
+    flipped = _transposed_rows(rows, ncols)
+    options = [(rows, False, False), (_turned_rows(rows, ncols), False, True)]
+    if flipped is not None:
+        options += [(flipped, True, False),
+                    (_turned_rows(flipped, len(rows)), True, True)]
+    # the first of the fewest wins a tie, so a region stays as it is
+    above, total, (new_rows, transpose, turn) = min(
+        ((*_ideal_counts(option[0]), option) for option in options),
+        key=itemgetter(0),
+    )
+    if total < _LINE_CROSSOVER * above or len(new_rows) < 2:
+        return None
+    pairs = region.extra_precedences
+    if transpose:
+        pairs = [((sc, sr), (dc, dr)) for (sr, sc), (dr, dc) in pairs]
+    if turn:  # inside the bounding box of the rows before the turn
+        nrows, width = (ncols, len(rows)) if transpose else (len(rows), ncols)
+        pairs = [
+            ((nrows + 1 - dr, width + 1 - dc), (nrows + 1 - sr, width + 1 - sc))
+            for (sr, sc), (dr, dc) in pairs
+        ]
+    if any(src[0] == len(new_rows) for src, _ in pairs):
+        return None
+    if not (transpose or turn):
+        return region
+    return CellRegion(new_rows, frozenset(pairs))
+
+
 def count_syt(region: CellRegion) -> int:
     """Number of standard fillings of ``region``. Exact.
+
+    Counts by the line kernel when ``_line_region`` picks an orientation
+    for it, and by the plain sweep otherwise.
+    """
+    oriented = _line_region(region)
+    if oriented is None:
+        return _sweep(region)
+    return _line(oriented)
+
+
+def _sweep(region: CellRegion) -> int:
+    """Number of standard fillings of ``region``, by the plain sweep.
 
     One step per order ideal of the cell poset plus one dictionary update
     per addable cell, whatever the orientation of the region.  An ideal
@@ -107,8 +224,124 @@ def count_syt(region: CellRegion) -> int:
                 nxt[succ] = get(succ, 0) + ways
                 addable ^= low
         states = nxt
-    (total,) = states.values()
-    return total
+    # no ideal is left when extra precedences leave no standard filling
+    return sum(states.values())
+
+
+def _line(region: CellRegion) -> int:
+    """Number of standard fillings of ``region``, sweeping its last row as
+    one vector.
+
+    The sweep runs over the ideals ``y`` of the rows above the last one.
+    Each carries a list whose entry ``x`` counts the fillings of ``y`` plus
+    the first ``x`` cells of the last row.  It stops at ``cap(y)``: the
+    number of leading last-row cells whose upper neighbour and
+    extra-precedence sources all lie in ``y``.  A list is the running sum
+    of the element-wise sum of its predecessors' lists, so every
+    transition within the last row runs inside ``map`` and ``accumulate``.
+    The region needs two rows and no extra precedence out of its last row.
+    """
+    width, full, no_left, no_up, gated, sources = _cell_masks(region)
+    last = region.num_rows - 1
+    s, e = region.rows[-1]
+    lane = (1 << (e - s + 1)) - 1
+    line = last * width  # bit of the last row's column 0
+    upper = (1 << line) - 1
+    body = full & upper
+    base = line - width + s  # bit of the cell above the last row's first
+    free = (no_up >> (line + s)) & lane  # last-row cells with no cell above
+    # extra-precedence sources of last-row cells, as (bit in ``ready``, need)
+    gates = tuple((bit >> (line + s), need) for bit, need in sources if bit > upper)
+    sources = tuple((bit, need) for bit, need in sources if bit <= upper)
+    gated &= upper
+    states = {0: [1]}
+    for _ in range(body.bit_count()):
+        nxt: dict[int, list[int]] = {}
+        get = nxt.get
+        for state, sums in states.items():
+            # cap(state) is the number of trailing ones of ``ready``
+            ready = ((state >> base) & lane) | free
+            for bit, need in gates:
+                if state & need != need:
+                    ready &= ~bit
+            size = ((ready + 1) & ~ready).bit_length()  # cap(state) + 1
+            ways = list(accumulate(sums))
+            if len(ways) < size:
+                ways += [ways[-1]] * (size - len(ways))
+            addable = (
+                (body ^ state)
+                & ((state << 1) | no_left)
+                & ((state << width) | no_up)
+            )
+            if addable & gated:
+                for bit, need in sources:
+                    if addable & bit and state & need != need:
+                        addable ^= bit
+            while addable:
+                low = addable & -addable
+                succ = state | low
+                old = get(succ)
+                if old is None:
+                    nxt[succ] = ways
+                elif len(old) == size:
+                    nxt[succ] = list(map(add, old, ways))
+                elif len(old) < size:  # the longer list keeps its tail
+                    nxt[succ] = [*map(add, ways, old), *ways[len(old):]]
+                else:
+                    nxt[succ] = [*map(add, old, ways), *old[size:]]
+                addable ^= low
+        states = nxt
+    # every last-row cell may follow the full upper rows, so the count is
+    # the last entry of the running sum
+    return sum(sum(sums) for sums in states.values())
+
+
+def _fillings(region: CellRegion) -> Iterator[list[list[int]]]:
+    """Yield the label grid of every standard filling of ``region``.
+
+    The grid holds one label list per region row.  At each step the next
+    label goes into the smallest eligible row index, backtracking
+    exhaustively with an explicit stack, so fillings come out sorted by the
+    sequence of row indices taken by labels 1..N.  The grid is the walker's
+    own: it changes as soon as the next filling is asked for.
+    """
+    nrows = region.num_rows
+    grid: list[list[int]] = [[] for _ in range(nrows)]
+    total = region.size
+    if total == 0:
+        yield grid
+        return
+    lens = tuple(e - s + 1 for s, e in region.rows)
+    needs = _preconditions(region)
+    fills = [0] * nrows
+    taken: list[int] = []  # the row of each label placed so far
+    row = 0
+    while True:
+        if row < nrows:
+            f = fills[row]
+            if f < lens[row]:
+                for j, need in needs[row][f]:
+                    if fills[j] < need:
+                        break
+                else:
+                    fills[row] = f + 1
+                    taken.append(row)
+                    grid[row].append(len(taken))
+                    if len(taken) < total:
+                        row = 0
+                        continue
+                    yield grid
+                    row = nrows  # a leaf: take its last label back
+                    continue
+            row += 1
+        elif taken:
+            # take the last label back and try the rows after its own
+            row = taken.pop()
+            fills[row] -= 1
+            grid[row].pop()
+            row += 1
+        else:
+            return
 
 
 def count_syt_dfs(region: CellRegion) -> int:
@@ -118,27 +351,7 @@ def count_syt_dfs(region: CellRegion) -> int:
     small regions; it exists as an independent cross-check of
     :func:`count_syt`.
     """
-    nrows = region.num_rows
-    if nrows == 0:
-        return 1
-    lens = tuple(e - s + 1 for s, e in region.rows)
-    needs = _preconditions(region)
-    fills = [0] * nrows
-    total_cells = region.size
-
-    def walk(depth: int) -> int:
-        if depth == total_cells:
-            return 1
-        total = 0
-        for i in range(nrows):
-            f = fills[i]
-            if f < lens[i] and all(fills[j] >= need for j, need in needs[i][f]):
-                fills[i] += 1
-                total += walk(depth + 1)
-                fills[i] -= 1
-        return total
-
-    return walk(0)
+    return sum(1 for _ in _fillings(region))
 
 
 def enumerate_syt(region: CellRegion, limit: int | None = None) -> Iterator[Tableau]:
@@ -150,34 +363,9 @@ def enumerate_syt(region: CellRegion, limit: int | None = None) -> Iterator[Tabl
     """
     if limit is not None and limit <= 0:
         return
-    nrows = region.num_rows
-    if nrows == 0:
-        yield Tableau(region, ())
-        return
-    lens = tuple(e - s + 1 for s, e in region.rows)
-    needs = _preconditions(region)
-    fills = [0] * nrows
-    grid: list[list[int]] = [[] for _ in range(nrows)]
-    total_cells = region.size
-
-    def walk(depth: int) -> Iterator[Tableau]:
-        if depth == total_cells:
-            yield Tableau(region, tuple(tuple(row) for row in grid))
-            return
-        for i in range(nrows):
-            f = fills[i]
-            if f < lens[i] and all(fills[j] >= need for j, need in needs[i][f]):
-                fills[i] += 1
-                grid[i].append(depth + 1)
-                yield from walk(depth + 1)
-                fills[i] -= 1
-                grid[i].pop()
-
-    emitted = 0
-    for t in walk(0):
-        yield t
-        emitted += 1
-        if limit is not None and emitted >= limit:
+    for emitted, grid in enumerate(_fillings(region), start=1):
+        yield Tableau(region, tuple(map(tuple, grid)))
+        if emitted == limit:
             return
 
 

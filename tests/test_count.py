@@ -8,6 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from sytcount.count import (
     LabelSetMismatch,
     _cell_masks,
+    _line,
+    _line_region,
+    _sweep,
+    _transposed_rows,
     count_syt,
     count_syt_dfs,
     enumerate_syt,
@@ -266,6 +270,115 @@ class TestImpliedPrecedences:
         assert count_syt(linked) == count_syt_dfs(linked)
         turned = rotate180(linked)
         assert count_syt(turned) == count_syt_dfs(turned) == count_syt(linked)
+
+
+def transpose(region):
+    """The region reflected in its main diagonal, built cell by cell, or
+    None when a column up to the last one is empty."""
+    cols: dict[int, list[int]] = {}
+    for r, c in region.cells():
+        cols.setdefault(c, []).append(r)
+    if sorted(cols) != list(range(1, region.max_col + 1)):
+        return None
+    rows = tuple((min(cols[c]), max(cols[c])) for c in sorted(cols))
+    pairs = frozenset(((sc, sr), (dc, dr)) for (sr, sc), (dr, dc) in region.extra_precedences)
+    return CellRegion(rows, pairs)
+
+
+def orientations(region):
+    """The region as it is, turned, transposed, and transposed then turned;
+    the last two only when the region can be transposed."""
+    found = [region, rotate180(region)]
+    flipped = transpose(region)
+    if flipped is not None:
+        found += [flipped, rotate180(flipped)]
+    return found
+
+
+def line_kernel_applies(region):
+    return region.num_rows >= 2 and all(
+        src[0] < region.num_rows for src, _ in region.extra_precedences
+    )
+
+
+# Two rows with (1, 2) before (1, 1): no standard filling, and the line
+# kernel may sweep it, since no precedence leaves the last row.
+NO_FILLING = CellRegion(((1, 2), (1, 3)), frozenset({((1, 2), (1, 1))}))
+
+
+class TestLineKernel:
+    @settings(deadline=None)
+    @given(regions())
+    @example(LINKED_ROWS)
+    @example(NO_FILLING)
+    @example(build_region("stair:3/2"))
+    @example(CellRegion(((1, 1), (1, 4)), frozenset({((1, 1), (2, 4))})))
+    def test_agrees_with_the_sweep_and_the_dfs_in_every_orientation(self, region):
+        want = count_syt_dfs(region)
+        for turned in orientations(region):
+            assert _sweep(turned) == count_syt_dfs(turned) == want
+            if line_kernel_applies(turned):
+                assert _line(turned) == want
+            assert count_syt(turned) == want
+
+    @settings(deadline=None)
+    @given(regions())
+    def test_transposed_rows_match_the_cells(self, region):
+        flipped = transpose(region)
+        expected = None if flipped is None else flipped.rows
+        assert _transposed_rows(region.rows, region.max_col) == expected
+
+    def test_one_row_takes_the_sweep(self):
+        region = CellRegion(((1, 6),))
+        assert _line_region(region) is None
+        assert count_syt(region) == 1
+
+    def test_columns_with_a_gap_are_not_transposed(self):
+        # column 2 is empty: a column of six cells, then one cell apart
+        region = CellRegion(((1, 1),) * 6 + ((3, 3),))
+        assert _transposed_rows(region.rows, region.max_col) is None
+        assert _line_region(region) is None
+        assert count_syt(region) == count_syt_dfs(region) == 7
+
+    def test_a_precedence_out_of_the_last_row_takes_the_sweep(self):
+        plain = truncated_rectangle_region(2, 5)
+        assert _line_region(plain) is plain
+        linked = CellRegion(plain.rows, frozenset({((2, 1), (1, 5))}))
+        assert _line_region(linked) is None
+        # of the 42 fillings, only 1..5 along the top row breaks the pair
+        assert count_syt(linked) == count_syt_dfs(linked) == 41
+
+    @pytest.mark.parametrize(
+        "descriptor,kernel",
+        [
+            ("rect:5x16/5,2", True),
+            ("part:13,12,11,7,4,3,1", True),
+            ("stair:14/4,3,1,1", False),
+            ("rect:10x10/2", False),
+        ],
+    )
+    def test_which_shapes_take_the_kernel(self, descriptor, kernel):
+        assert (_line_region(build_region(descriptor)) is not None) == kernel
+
+    @pytest.mark.parametrize("descriptor", ["rect:5x16/5,2", "part:13,12,11,7,4,3,1"])
+    def test_kernel_equals_the_sweep_on_large_shapes(self, descriptor):
+        region = build_region(descriptor)
+        assert _line(_line_region(region)) == _sweep(region)
+
+
+class TestNoFilling:
+    @pytest.mark.parametrize(
+        "region",
+        [CellRegion(((1, 2),), frozenset({((1, 2), (1, 1))})), NO_FILLING],
+        ids=["one row", "two rows"],
+    )
+    def test_counts_zero(self, region):
+        assert count_syt_dfs(region) == 0
+        assert count_syt(region) == _sweep(region) == 0
+        assert list(enumerate_syt(region)) == []
+
+    def test_line_kernel_counts_zero(self):
+        assert _line(NO_FILLING) == 0
 
 
 class TestEnumerate:
