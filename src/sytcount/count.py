@@ -108,12 +108,15 @@ def _ideal_counts(rows) -> tuple[int, int]:
         if s > pe:  # the first row, or one that shares no column with it
             ways = [above] * (size + 1)
         else:
+            # a fill of x needs s + x - ps cells of the row above, clamped
+            # to 0..top: fills 1..loose need none, the fills after need
+            # tail[lo:hi], and the rest need the whole row above
             top = pe - ps + 1
-            shift = ps - s  # fills 1..shift reach no column of the row above
-            low = min(max(shift, 0), size)
+            shift = ps - s
+            loose = min(max(shift, 0), size)
             lo = max(1 - shift, 1)
             hi = max(min(size - shift, top - 1) + 1, lo)
-            ways = [above] * (1 + low) + tail[lo:hi] + [tail[top]] * (size - low - hi + lo)
+            ways = [above] * (1 + loose) + tail[lo:hi] + [tail[top]] * (size - loose - hi + lo)
         tail = list(accumulate(reversed(ways)))
         tail.reverse()
         ps, pe = s, e
