@@ -71,6 +71,7 @@ SCANS = [
     ("rect-sq+1", ("--m", "0..1", "--n", "0..2", "--k", "1..2")),
     ("stair-corner", ("--m", "0..3")),
     ("rect-corner", ("--m", "0..2", "--n", "0..1")),
+    ("rect-corner", ("--m", "0..2", "--n", "2..1")),
     ("square-minus-two", ("--n", "2..6")),
     ("stair-trunc", ("--m", "3..6", "--kappa", "1")),
     ("rect-trunc", ("--m", "2..4", "--n", "3", "--kappa", "2,1")),
@@ -86,6 +87,7 @@ SCAN_EDGES = [
     ("scan", "--family", "stair-corner", "--m", "-1"),
     ("scan", "--family", "square-minus-two", "--n", "1..3"),
     ("scan", "--family", "stair-corner", "--m", "3..2"),
+    ("scan", "--family", "square-minus-two", "--n", "3..2"),
     ("scan", "--family", "stair-trunc", "--m", "3", "--kappa", "3"),
     ("scan", "--family", "stair-trunc", "--m", "10", "--kappa", "1"),
     ("scan", "--family", "stair-corner", "--m", "a..b"),
