@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .arith import FactoredRatio
+from .arith import FactoredRatio, Factorization
 from .count import count_syt, enumerate_syt
 from .formulas import (
     binomial,
@@ -129,6 +129,50 @@ def formula_count(desc: ShapeDescriptor) -> tuple[str, FactoredRatio, bool] | No
     return None
 
 
+@dataclass(frozen=True)
+class Count:
+    """A tableau count and how it was obtained.
+
+    ``route`` names the closed form, or is ``oracle`` for the profile DP;
+    ``ratio`` is the closed form's factored value (None on the oracle
+    route), and ``cells`` the size of the shape.
+    """
+
+    route: str
+    cells: int
+    value: int
+    ratio: FactoredRatio | None = None
+    conjectural: bool = False
+
+
+def resolve(desc: ShapeDescriptor, method: str) -> Count:
+    """Count ``desc`` by ``method``: ``formula`` takes the closed form and
+    raises :class:`NoFormulaAvailable` without one, ``oracle`` runs the DP,
+    and ``auto`` takes the closed form when there is one, else the DP.
+
+    The formula route never needs the cells.  Every descriptor a closed
+    form matches builds a region, so an invalid one reaches
+    ``desc.region()`` and fails there with the same message on every route.
+    """
+    hit = None if method == "oracle" else formula_count(desc)
+    if hit is not None:
+        name, ratio, conjectural = hit
+        return Count(name, desc.size, ratio.to_integer(), ratio, conjectural)
+    region = desc.region()
+    if method == "formula":
+        raise NoFormulaAvailable(f"no closed form for {desc.text}")
+    return Count("oracle", region.size, count_syt(region))
+
+
+def _factored(count: Count) -> tuple[Factorization, bool]:
+    """The count's prime factorization, and whether it is N-smooth for N
+    its number of cells.  Only an oracle count has to be factored; a closed
+    form carries its primes."""
+    ratio = FactoredRatio.from_integer(count.value) if count.ratio is None else count.ratio
+    fac = ratio.factorization()
+    return fac, fac.largest_prime <= count.cells
+
+
 def _note_conjecture(name: str, conjectural: bool) -> None:
     if conjectural:
         print(f"note: {name} closed form is a CONJECTURE (unproved)", file=sys.stderr)
@@ -157,62 +201,32 @@ def _int_range(text: str) -> range:
 
 def cmd_count(args: argparse.Namespace) -> int:
     desc = parse_descriptor(args.shape)
-    if args.check:
-        region = desc.region()
-        hit = formula_count(desc)
-        if hit is None:
-            raise NoFormulaAvailable(f"no closed form for {desc.text}")
-        name, ratio, conjectural = hit
-        formula_value, oracle_value = ratio.to_integer(), count_syt(region)
-        label = f"{name} CONJECTURE" if conjectural else name
-        print(f"formula[{label}] {_fmt_count(formula_value)}")
-        print(f"oracle {_fmt_count(oracle_value)}")
-        _note_conjecture(name, conjectural)
-        if formula_value != oracle_value:
-            print("MISMATCH")
-            return 1
-        print("OK")
+    if not args.check:
+        count = resolve(desc, args.method)
+        print(_fmt_count(count.value))
+        _note_conjecture(count.route, count.conjectural)
         return 0
-    if args.method == "oracle":
-        print(_fmt_count(count_syt(desc.region())))
-        return 0
-    # The formula route never needs the cells.  Every descriptor a closed
-    # form matches builds a region, so an invalid one reaches desc.region()
-    # below and fails there with the same message as on the other routes.
-    hit = formula_count(desc)
-    if hit is not None:
-        print(_fmt_count(hit[1].to_integer()))
-        _note_conjecture(hit[0], hit[2])
-        return 0
-    region = desc.region()
-    if args.method == "formula":
-        raise NoFormulaAvailable(f"no closed form for {desc.text}")
-    # auto: brute force when no closed form applies
-    print(_fmt_count(count_syt(region)))
+    formula, oracle = resolve(desc, "formula"), resolve(desc, "oracle")
+    label = f"{formula.route} CONJECTURE" if formula.conjectural else formula.route
+    print(f"formula[{label}] {_fmt_count(formula.value)}")
+    print(f"oracle {_fmt_count(oracle.value)}")
+    _note_conjecture(formula.route, formula.conjectural)
+    if formula.value != oracle.value:
+        print("MISMATCH")
+        return 1
+    print("OK")
     return 0
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    desc = parse_descriptor(args.shape)
-    # As in cmd_count, only the routes that need the cells build the region;
-    # the formula route reads the cell count off the descriptor.
-    hit = None if args.method == "oracle" else formula_count(desc)
-    if hit is not None:
-        ratio, n_cells = hit[1], desc.size
-    else:
-        region = desc.region()
-        if args.method == "formula":
-            raise NoFormulaAvailable(f"no closed form for {desc.text}")
-        # Only an oracle count has to be factored; a closed form carries its primes.
-        ratio, n_cells = FactoredRatio.from_integer(count_syt(region)), region.size
-    value, fac = ratio.to_integer(), ratio.factorization()
-    print(f"count {_fmt_count(value)}")
+    count = resolve(parse_descriptor(args.shape), args.method)
+    fac, smooth = _factored(count)
+    print(f"count {_fmt_count(count.value)}")
     print(f"factorization {fac}")
     print(f"largest_prime {fac.largest_prime}")
-    print(f"N {n_cells}")
-    print(f"N_smooth {'yes' if fac.largest_prime <= n_cells else 'no'}")
-    if hit is not None:
-        _note_conjecture(hit[0], hit[2])
+    print(f"N {count.cells}")
+    print(f"N_smooth {'yes' if smooth else 'no'}")
+    _note_conjecture(count.route, count.conjectural)
     return 0
 
 
@@ -343,100 +357,79 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return spec.check(" ".join(["identity", args.identity, *words]), *values.values())
 
 
-# Scan family -> (parameter names, region builder, closed form): the family
-# table, and two families that count a given truncation by the oracle.
-_SCAN_FAMILIES = {
-    **{f.name: (f.params, f.region, f.ratio) for f in FAMILIES.values()},
-    "stair-trunc": (("m",), truncated_staircase_region, None),
-    "rect-trunc": (("m", "n"), truncated_rectangle_region, None),
+# Scan families that count a given truncation ``--kappa`` by the oracle:
+# (parameter names, region builder).  The others are the family table.
+_ORACLE_SCANS = {
+    "stair-trunc": (("m",), truncated_staircase_region),
+    "rect-trunc": (("m", "n"), truncated_rectangle_region),
 }
+_SCAN_FAMILIES = [*FAMILIES, *_ORACLE_SCANS]
+_SCAN_FIELDS = ("family", "params", "N", "count", "largest_prime", "n_smooth")
 
 
 def _grid(axes: list[range]):
     """The tuples of ``itertools.product(*axes)``, in its order, without
-    first copying each axis: a huge range fails on its first bad row."""
+    first copying each axis: a huge range fails on its first bad row, and
+    an empty axis gives no rows however long the others are."""
     if not axes:
         yield ()
-        return
-    for value in axes[0]:
-        for rest in _grid(axes[1:]):
-            yield (value, *rest)
+    elif all(axes):  # bool, not len: len overflows on a huge range
+        for value in axes[0]:
+            for rest in _grid(axes[1:]):
+                yield (value, *rest)
 
 
-def _scan_rows(args) -> list[tuple[dict, int, FactoredRatio]]:
-    names, region_of, ratio_of = _SCAN_FAMILIES[args.family]
-    if ratio_of is None:
+def _scan_records(args) -> list[dict]:
+    """One record of ``_SCAN_FIELDS`` per row of the scan."""
+    family = FAMILIES.get(args.family)
+    if family is None:
+        names, region_of = _ORACLE_SCANS[args.family]
         kappa = Partition(args.kappa or ())
+    else:
+        names, region_of = family.params, family.region
     axes = [_option(args, name, f"family {args.family!r}") for name in names]
-    rows = []
+    records = []
     for values in _grid(axes):
         params = dict(zip(names, values))
-        if ratio_of is None:
+        if family is None:
             region = region_of(*values, kappa)
             _check_budget(region.size)
             params["kappa"] = list(kappa.parts)
-            ratio = FactoredRatio.from_integer(count_syt(region))
+            count = Count("oracle", region.size, count_syt(region))
         else:
-            region = region_of(*values)
-            ratio = ratio_of(*values)
-        rows.append((params, region.size, ratio))
-    return rows
+            cells, ratio = region_of(*values).size, family.ratio(*values)
+            count = Count(family.name, cells, ratio.to_integer(), ratio, family.conjectural)
+        fac, smooth = _factored(count)
+        fields = (args.family, params, count.cells, _decimal(count.value),
+                  fac.largest_prime, smooth)
+        records.append(dict(zip(_SCAN_FIELDS, fields)))
+    return records
 
 
-def _fmt_params(params: dict) -> str:
-    chunks = []
-    for key, value in params.items():
-        if isinstance(value, list):
-            chunks.append(f"{key}=({','.join(str(v) for v in value)})")
-        else:
-            chunks.append(f"{key}={value}")
-    return " ".join(chunks)
+def _scan_field(value) -> str:
+    """A field of a scan record as the text and csv formats print it."""
+    if isinstance(value, dict):  # the parameters
+        return " ".join(f"{key}={_scan_field(v)}" for key, v in value.items())
+    if isinstance(value, list):  # a truncation
+        return f"({','.join(map(str, value))})"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return str(value)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    rows = _scan_rows(args)
+    records = _scan_records(args)
     if args.family in FAMILIES:
         _note_conjecture(args.family, FAMILIES[args.family].conjectural)
-    header = ("family", "params", "N", "count", "largest_prime", "n_smooth")
-    table = []
-    records = []
-    for params, n_cells, ratio in rows:
-        fac = ratio.factorization()
-        digits = _decimal(ratio.to_integer())
-        smooth = fac.largest_prime <= n_cells
-        table.append(
-            (
-                args.family,
-                _fmt_params(params),
-                str(n_cells),
-                digits,
-                str(fac.largest_prime),
-                "yes" if smooth else "no",
-            )
-        )
-        records.append(
-            {
-                "family": args.family,
-                "params": params,
-                "N": n_cells,
-                "count": digits,
-                "largest_prime": fac.largest_prime,
-                "n_smooth": smooth,
-            }
-        )
     if args.format == "json":
         print(json.dumps(records, indent=2))
         return 0
+    table = [_SCAN_FIELDS, *([_scan_field(v) for v in r.values()] for r in records)]
     if args.format == "csv":
-        print(",".join(header))
         for row in table:
             print(",".join(_csv_field(x) for x in row))
         return 0
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in table)) if table else len(header[i])
-        for i in range(len(header))
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(*table)]
     for row in table:
         print("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip())
     return 0

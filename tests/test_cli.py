@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -9,9 +10,13 @@ import pytest
 
 from sytcount import arith, cli
 from sytcount.arith import factorize
-from sytcount.cli import ORACLE_LIMIT_ENV, _print_check, entry_point, main
+from sytcount.cli import (
+    ORACLE_LIMIT_ENV, NoFormulaAvailable, _print_check, entry_point, main, resolve,
+)
 from sytcount.formulas import rectangle_count, staircase_count
-from sytcount.shapes import ShapeDescriptor, parse_descriptor
+from sytcount.count import count_syt
+from sytcount.shapes import ShapeDescriptor, ShapeError, parse_descriptor
+from sytcount.truncated import FAMILIES
 
 
 def run(capsys, *argv):
@@ -179,6 +184,62 @@ class TestFactor:
     def test_invalid_descriptor_message(self, capsys, shape, message, method):
         result = run(capsys, "factor", shape, "--method", method)
         assert result == (2, "", f"error: {message}\n")
+
+
+class TestResolve:
+    # A descriptor per route that auto and formula take.  The corner
+    # families have no matcher: their shapes are the sq families' at k = 2.
+    ROUTES = {
+        "part:4,2,1": "frobenius-young",
+        "shifted:5,3": "schur",
+        "stair:5": "staircase",
+        "rect:3x4": "rectangle",
+        "stair:6/1": "stair-sq",
+        "stair:6/2,1": "stair-sq+1",
+        "rect:4x5/1": "rect-sq",
+        "rect:4x4/3,3,2": "rect-sq+1",
+        "rect:4x4/2": "square-minus-two",
+    }
+
+    def test_routes_cover_every_matched_family(self):
+        assert set(self.ROUTES.values()) >= {n for n, f in FAMILIES.items() if f.match}
+
+    @pytest.mark.parametrize("method", ["auto", "formula", "oracle"])
+    @pytest.mark.parametrize("shape", sorted(ROUTES))
+    def test_route_and_value(self, shape, method):
+        desc = parse_descriptor(shape)
+        count = resolve(desc, method)
+        oracle = method == "oracle"
+        assert count.route == ("oracle" if oracle else self.ROUTES[shape])
+        assert count.value == count_syt(desc.region())
+        assert (count.ratio is None) == oracle
+        assert count.conjectural == (count.route == "square-minus-two")
+
+    @pytest.mark.parametrize("shape", ["rect:3x3/1,1", "stair:6/3,1", "rect:3x3/1,1,1"])
+    def test_no_closed_form(self, shape):
+        desc = parse_descriptor(shape)
+        count = resolve(desc, "auto")
+        assert count.route == "oracle" and not count.conjectural
+        assert (count.cells, count.value) == (desc.region().size, count_syt(desc.region()))
+        with pytest.raises(NoFormulaAvailable):
+            resolve(desc, "formula")
+
+    @pytest.mark.parametrize("method", ["auto", "formula", "oracle"])
+    def test_shape_error_comes_before_no_formula(self, method):
+        with pytest.raises(ShapeError) as caught:
+            resolve(parse_descriptor("rect:3x3/4"), method)
+        assert not isinstance(caught.value, NoFormulaAvailable)
+
+    def test_formula_route_reads_cells_off_the_descriptor(self, monkeypatch):
+        cells = {shape: parse_descriptor(shape).region().size for shape in self.ROUTES}
+
+        def no_region(desc):
+            raise AssertionError(f"built the region of {desc.text}")
+
+        monkeypatch.setattr(ShapeDescriptor, "region", no_region)
+        for shape, size in cells.items():
+            for method in ("auto", "formula"):
+                assert resolve(parse_descriptor(shape), method).cells == size, shape
 
 
 def _family_kappa(sq: bool, k: int) -> str:
@@ -510,6 +571,30 @@ class TestScan:
     def test_huge_range_fails_on_its_first_row(self, capsys, argv, message):
         code, out, err = run(capsys, "scan", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "fmt, out",
+        [("text", "family  params  N  count  largest_prime  n_smooth\n"),
+         ("csv", "family,params,N,count,largest_prime,n_smooth\n"),
+         ("json", "[]\n")],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("--family", "rect-corner", "--m", f"0..{10**20}", "--n", "2..1"),
+         ("--family", "rect-trunc", f"--m=-{10**20}..0", "--n", "2..1")],
+    )
+    def test_empty_axis_after_a_huge_one_gives_no_rows_at_once(self, capsys, argv, fmt, out):
+        def too_slow(signum, frame):
+            raise TimeoutError("the scan walked the huge axis")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            result = run(capsys, "scan", *argv, "--format", fmt)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result == (0, out, "")
 
     @pytest.mark.parametrize("option", ["--m", "--n", "--k"])
     @pytest.mark.parametrize("value", ["-1..2", "-0..2", "-3..-1", "-1..", "-1..x"])
