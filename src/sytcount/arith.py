@@ -156,6 +156,10 @@ class Factorization:
         """Largest prime factor; 1 for the empty factorization of 1."""
         return self.pairs[-1][0] if self.pairs else 1
 
+    def is_smooth(self, bound: int) -> bool:
+        """True when every prime factor is at most ``bound``; 1 has none."""
+        return all(p <= bound for p, _ in self.pairs)
+
     def __iter__(self):
         return iter(self.pairs)
 
@@ -210,7 +214,7 @@ def is_smooth(v: int, bound: int) -> bool:
     """True when every prime factor of ``v`` is at most ``bound``."""
     if v < 1:
         raise ValueError(f"smoothness is defined for positive integers, got {v}")
-    return factorize(v).largest_prime <= bound
+    return factorize(v).is_smooth(bound)
 
 
 def binomial(n: int, k: int) -> int:

@@ -170,7 +170,7 @@ def _factored(count: Count) -> tuple[Factorization, bool]:
     form carries its primes."""
     ratio = FactoredRatio.from_integer(count.value) if count.ratio is None else count.ratio
     fac = ratio.factorization()
-    return fac, fac.largest_prime <= count.cells
+    return fac, fac.is_smooth(count.cells)
 
 
 def _note_conjecture(name: str, conjectural: bool) -> None:

@@ -83,6 +83,7 @@ class TestFactorize:
 
     def test_smooth(self):
         assert is_smooth(1, 1)
+        assert is_smooth(1, 0)  # 1 has no prime factor
         assert is_smooth(960, 5)
         assert not is_smooth(960 * 7, 5)
         with pytest.raises(ValueError):
