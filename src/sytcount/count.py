@@ -10,15 +10,16 @@ number of fillings is astronomically large.
 
 When one boundary row of the region is long and loosely tied to its
 neighbour, the line kernel turns the region so that row comes last and
-sweeps only the ideals of the other rows, each carrying one count per
-filled prefix of the last row.  Enumeration and the DFS cross-check share
-one backtracking walker, which is independent of both sweeps.
+sweeps only the ideals of the other rows, each carrying one int packed with
+a count per filled prefix of the last row.  Enumeration and the DFS
+cross-check share one backtracking walker, independent of both sweeps.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from operator import add, itemgetter, lt
+from math import factorial, inf, prod
+from operator import lt
 from typing import Iterator
 
 from .shapes import CellRegion, Tableau
@@ -53,28 +54,24 @@ def _preconditions(region: CellRegion):
     return tuple(needs)
 
 
-def _cell_masks(region: CellRegion):
+def _cell_masks(rows, pairs):
     # Cell (r, c) is bit (r - 1) * width + c; column 0 of every row is
     # padding, so a shift left by one never carries a row's last cell into
     # the next row's first.
-    width = region.max_col + 1
-    full = no_left = no_up = 0
-    for i, (s, e) in enumerate(region.rows):
-        up = region.rows[i - 1] if i else (0, -1)
-        for c in range(s, e + 1):
-            bit = 1 << (i * width + c)
-            full |= bit
-            if c == s:
-                no_left |= bit
-            if not up[0] <= c <= up[1]:
-                no_up |= bit
+    width = max((e for _, e in rows), default=0) + 1
+    full = no_left = no_up = row = 0
+    for i, (s, e) in enumerate(rows):
+        up, row = row << width, ((1 << (e - s + 1)) - 1) << (i * width + s)
+        full |= row
+        no_left |= row & -row
+        no_up |= row & ~up
     # Each cell with extra-precedence sources maps to the mask of them;
     # ``gated`` marks those cells.  A pair to the cell diagonally below-right
     # is dropped when a cell between the two is in the region, since the
     # row and column order then implies it.
     sources: dict[int, int] = {}
     gated = 0
-    for (sr, sc), (dr, dc) in region.extra_precedences:
+    for (sr, sc), (dr, dc) in pairs:
         src = 1 << ((sr - 1) * width + sc)
         bit = 1 << ((dr - 1) * width + dc)
         if bit != src << (width + 1) or not full & (src << 1 | src << width):
@@ -84,27 +81,30 @@ def _cell_masks(region: CellRegion):
 
 
 # The line kernel runs once the region has at least this many order ideals
-# per ideal of the region minus its last row, both estimated by
-# ``_ideal_counts``.  Timed on 150 random shapes, the kernel won on every
-# shape from this ratio on and lost on most below 2 (README, "Counting").
-_LINE_CROSSOVER = 3
+# per ideal of the region minus its last row, as ``_ideal_counts`` estimates
+# them, and the last row holds two cells.  Timed on 341 random shapes, the
+# kernel won on 185 of the 196 from this ratio on (README, "Counting").
+_LINE_CROSSOVER = 1.75
 
 
-def _ideal_counts(rows) -> tuple[int, int]:
-    """Order ideals of the rows above the last one, and of all the rows.
+def _ideal_counts(rows, limit) -> tuple[int, int] | None:
+    """Order ideals of the rows above the last one, and of all the rows, or
+    None once the first count reaches ``limit``.
 
     Extra precedences are ignored, so both are upper bounds.  An ideal
     fills a prefix of each row, and a row may hold ``x`` cells when the
     row above has filled every column the first ``x`` share with it.
     ``tail[k]`` counts the ideals of the rows so far whose last row holds
     at least ``k`` cells; each row gathers its ways from the row above's
-    ``tail`` in three slices.
+    ``tail`` in three slices.  The first count never falls as rows are added.
     """
-    above, tail = 1, [1]
+    tail = [1]
     ps = pe = 0  # the row above; column 0 is in no row
     for s, e in rows:
         size = e - s + 1
         above = tail[0]
+        if above >= limit:
+            return None
         if s > pe:  # the first row, or one that shares no column with it
             ways = [above] * (size + 1)
         else:
@@ -126,12 +126,10 @@ def _ideal_counts(rows) -> tuple[int, int]:
 def _transposed_rows(rows, ncols):
     """Row intervals of the transposed region, or None when a column in
     1..``ncols`` is empty, since the transpose would have an empty row."""
-    first = [0] * (ncols + 1)
-    last = [0] * (ncols + 1)
+    first, last = [0] * (ncols + 1), [0] * (ncols + 1)
     for r, (s, e) in enumerate(rows, start=1):
         last[s : e + 1] = [r] * (e - s + 1)
-    for r in range(len(rows), 0, -1):
-        s, e = rows[r - 1]
+    for r, (s, e) in reversed(list(enumerate(rows, start=1))):
         first[s : e + 1] = [r] * (e - s + 1)
     if 0 in first[1:]:
         return None
@@ -143,15 +141,16 @@ def _turned_rows(rows, ncols):
     return tuple((ncols + 1 - e, ncols + 1 - s) for s, e in reversed(rows))
 
 
-def _line_region(region: CellRegion) -> CellRegion | None:
-    """The orientation of ``region`` the line kernel should sweep, or None
-    when the plain sweep should count it.
+def _line_region(region: CellRegion):
+    """The rows and extra precedences of the orientation of ``region`` the
+    line kernel should sweep, or None when the plain sweep should count it.
 
     Of the region as it is, turned, transposed, and transposed then turned,
     take the one whose rows above the last have the fewest order ideals;
     the kernel runs when the region has at least ``_LINE_CROSSOVER`` ideals
-    per ideal of those rows, the orientation keeps two rows, and no extra
-    precedence leaves its last row.  Only the chosen orientation is built.
+    per ideal of those rows, the orientation keeps two rows and two cells
+    in its last one, and no extra precedence leaves its last row.  No
+    region is built.
     """
     rows = region.rows
     if len(rows) < 2:
@@ -163,26 +162,24 @@ def _line_region(region: CellRegion) -> CellRegion | None:
         options += [(flipped, True, False),
                     (_turned_rows(flipped, len(rows)), True, True)]
     # the first of the fewest wins a tie, so a region stays as it is
-    above, total, (new_rows, transpose, turn) = min(
-        ((*_ideal_counts(option[0]), option) for option in options),
-        key=itemgetter(0),
-    )
-    if total < _LINE_CROSSOVER * above or len(new_rows) < 2:
+    above = total = inf
+    for option in options:
+        counts = _ideal_counts(option[0], above)
+        if counts:
+            (above, total), (new_rows, transpose, turn) = counts, option
+    s, e = new_rows[-1]
+    if total < _LINE_CROSSOVER * above or len(new_rows) < 2 or s == e:
         return None
     pairs = region.extra_precedences
     if transpose:
         pairs = [((sc, sr), (dc, dr)) for (sr, sc), (dr, dc) in pairs]
     if turn:  # inside the bounding box of the rows before the turn
         nrows, width = (ncols, len(rows)) if transpose else (len(rows), ncols)
-        pairs = [
-            ((nrows + 1 - dr, width + 1 - dc), (nrows + 1 - sr, width + 1 - sc))
-            for (sr, sc), (dr, dc) in pairs
-        ]
+        pairs = [((nrows + 1 - dr, width + 1 - dc), (nrows + 1 - sr, width + 1 - sc))
+                 for (sr, sc), (dr, dc) in pairs]
     if any(src[0] == len(new_rows) for src, _ in pairs):
         return None
-    if not (transpose or turn):
-        return region
-    return CellRegion(new_rows, frozenset(pairs))
+    return new_rows, pairs
 
 
 def count_syt(region: CellRegion) -> int:
@@ -192,9 +189,7 @@ def count_syt(region: CellRegion) -> int:
     for it, and by the plain sweep otherwise.
     """
     oriented = _line_region(region)
-    if oriented is None:
-        return _sweep(region)
-    return _line(oriented)
+    return _sweep(region) if oriented is None else _line(*oriented)
 
 
 def _sweep(region: CellRegion) -> int:
@@ -206,9 +201,10 @@ def _sweep(region: CellRegion) -> int:
     and upper neighbours (where the region has them) are in ``S``, minus
     any cell whose extra-precedence sources are not all in ``S``.
     """
-    width, full, no_left, no_up, gated, sources = _cell_masks(region)
+    rows, pairs = region.rows, region.extra_precedences
+    width, full, no_left, no_up, gated, sources = _cell_masks(rows, pairs)
     states = {0: 1}
-    for _ in range(region.size):
+    for _ in range(full.bit_count()):
         nxt: dict[int, int] = {}
         get = nxt.get
         for state, ways in states.items():
@@ -231,24 +227,26 @@ def _sweep(region: CellRegion) -> int:
     return sum(states.values())
 
 
-def _line(region: CellRegion) -> int:
-    """Number of standard fillings of ``region``, sweeping its last row as
-    one vector.
+def _line(rows, pairs) -> int:
+    """Number of standard fillings of the region of ``rows`` with extra
+    precedences ``pairs``, sweeping its last row as one packed vector.
 
     The sweep runs over the ideals ``y`` of the rows above the last one.
-    Each carries a list whose entry ``x`` counts the fillings of ``y`` plus
-    the first ``x`` cells of the last row.  It stops at ``cap(y)``: the
-    number of leading last-row cells whose upper neighbour and
-    extra-precedence sources all lie in ``y``.  A list is the running sum
-    of the element-wise sum of its predecessors' lists, so every
-    transition within the last row runs inside ``map`` and ``accumulate``.
-    The region needs two rows and no extra precedence out of its last row.
+    Each carries one int of fixed-width fields; field ``x`` counts the
+    fillings of ``y`` plus the first ``x`` cells of the last row, up to
+    ``cap(y)``: the number of leading last-row cells whose upper neighbour
+    and extra-precedence sources all lie in ``y``.  A vector is the running
+    sum of the sum of its predecessors' vectors: one addition per merge and
+    a few shifts per running sum.  A field counts the fillings of an order
+    ideal, at most ``N! / prod(row length!)`` (the count with only the rows
+    ordered), so no field carries into the next.  The region needs two rows
+    and no extra precedence out of its last row.
     """
-    width, full, no_left, no_up, gated, sources = _cell_masks(region)
-    last = region.num_rows - 1
-    s, e = region.rows[-1]
-    lane = (1 << (e - s + 1)) - 1
-    line = last * width  # bit of the last row's column 0
+    width, full, no_left, no_up, gated, sources = _cell_masks(rows, pairs)
+    s, e = rows[-1]
+    length = e - s + 1
+    lane = (1 << length) - 1
+    line = (len(rows) - 1) * width  # bit of the last row's column 0
     upper = (1 << line) - 1
     body = full & upper
     base = line - width + s  # bit of the cell above the last row's first
@@ -257,20 +255,28 @@ def _line(region: CellRegion) -> int:
     gates = tuple((bit >> (line + s), need) for bit, need in sources if bit > upper)
     sources = tuple((bit, need) for bit, need in sources if bit <= upper)
     gated &= upper
-    states = {0: [1]}
+    rows_only = factorial(full.bit_count()) // prod(factorial(b - a + 1) for a, b in rows)
+    field = rows_only.bit_length()
+    # plan[2 ** cap]: the mask of fields 0..cap, and the shifts that take
+    # the running sum over them
+    plan = {
+        1 << x: ((1 << field * (x + 1)) - 1, tuple(field << k for k in range(x.bit_length())))
+        for x in range(length + 1)
+    }
+    states = {0: 1}
     for _ in range(body.bit_count()):
-        nxt: dict[int, list[int]] = {}
+        nxt: dict[int, int] = {}
         get = nxt.get
-        for state, sums in states.items():
+        for state, ways in states.items():
             # cap(state) is the number of trailing ones of ``ready``
             ready = ((state >> base) & lane) | free
             for bit, need in gates:
                 if state & need != need:
                     ready &= ~bit
-            size = ((ready + 1) & ~ready).bit_length()  # cap(state) + 1
-            ways = list(accumulate(sums))
-            if len(ways) < size:
-                ways += [ways[-1]] * (size - len(ways))
+            keep, shifts = plan[(ready + 1) & ~ready]
+            for shift in shifts:
+                ways += ways << shift
+            ways &= keep
             addable = (
                 (body ^ state)
                 & ((state << 1) | no_left)
@@ -283,20 +289,13 @@ def _line(region: CellRegion) -> int:
             while addable:
                 low = addable & -addable
                 succ = state | low
-                old = get(succ)
-                if old is None:
-                    nxt[succ] = ways
-                elif len(old) == size:
-                    nxt[succ] = list(map(add, old, ways))
-                elif len(old) < size:  # the longer list keeps its tail
-                    nxt[succ] = [*map(add, ways, old), *ways[len(old):]]
-                else:
-                    nxt[succ] = [*map(add, old, ways), *old[size:]]
+                nxt[succ] = get(succ, 0) + ways
                 addable ^= low
         states = nxt
-    # every last-row cell may follow the full upper rows, so the count is
-    # the last entry of the running sum
-    return sum(sum(sums) for sums in states.values())
+    # field x of the full upper rows' vector counts the fillings whose last
+    # upper label follows x last-row cells, so the count is the field sum
+    ways, mask = states.get(body, 0), plan[1][0]
+    return sum(ways >> field * x & mask for x in range(length + 1))
 
 
 def _fillings(region: CellRegion) -> Iterator[list[list[int]]]:

@@ -1,6 +1,7 @@
 """The order-ideal sweep, its DFS cross-check, and enumeration."""
 
 from itertools import islice
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from sytcount.count import (
     enumerate_syt,
     is_valid_tableau,
 )
+from sytcount.formulas import frobenius_young, schur_count
 from sytcount.shapes import (
     CellRegion,
     Partition,
@@ -236,7 +238,7 @@ class TestDiagonalPrecedences:
 
 def gated_cells(region):
     """Cells whose extra-precedence sources the sweep still checks."""
-    width, *_, gated, _ = _cell_masks(region)
+    width, *_, gated, _ = _cell_masks(region.rows, region.extra_precedences)
     return {
         (r, c) for r, c in region.cells() if gated >> ((r - 1) * width + c) & 1
     }
@@ -318,7 +320,7 @@ class TestLineKernel:
         for turned in orientations(region):
             assert _sweep(turned) == count_syt_dfs(turned) == want
             if line_kernel_applies(turned):
-                assert _line(turned) == want
+                assert _line(turned.rows, turned.extra_precedences) == want
             assert count_syt(turned) == want
 
     @settings(deadline=None)
@@ -342,7 +344,7 @@ class TestLineKernel:
 
     def test_a_precedence_out_of_the_last_row_takes_the_sweep(self):
         plain = truncated_rectangle_region(2, 5)
-        assert _line_region(plain) is plain
+        assert _line_region(plain) == (plain.rows, plain.extra_precedences)
         linked = CellRegion(plain.rows, frozenset({((2, 1), (1, 5))}))
         assert _line_region(linked) is None
         # of the 42 fillings, only 1..5 along the top row breaks the pair
@@ -353,8 +355,11 @@ class TestLineKernel:
         [
             ("rect:5x16/5,2", True),
             ("part:13,12,11,7,4,3,1", True),
+            ("stair:13/9,4", True),
             ("stair:14/4,3,1,1", False),
-            ("rect:10x10/2", False),
+            ("rect:10x10/2", True),
+            # the best last row is the top row's diagonal cell alone
+            ("stair:11/10,5", False),
         ],
     )
     def test_which_shapes_take_the_kernel(self, descriptor, kernel):
@@ -363,7 +368,30 @@ class TestLineKernel:
     @pytest.mark.parametrize("descriptor", ["rect:5x16/5,2", "part:13,12,11,7,4,3,1"])
     def test_kernel_equals_the_sweep_on_large_shapes(self, descriptor):
         region = build_region(descriptor)
-        assert _line(_line_region(region)) == _sweep(region)
+        assert _line(*_line_region(region)) == _sweep(region)
+
+    @pytest.mark.parametrize("rows", [((1, 3), (4, 6)), ((1, 5), (6, 6))])
+    def test_a_count_equal_to_the_field_bound(self, rows):
+        # Two rows that share no column: every interleaving is a filling, so
+        # the count is N! / (a! b!), the bound the kernel sizes its fields by
+        # when the rows stay rows.  With rows of 5 and 1 cells, the vector of
+        # the first four cells holds 5, as many bits as the bound 6.
+        a, b = (e - s + 1 for s, e in rows)
+        for region in orientations(CellRegion(rows)):
+            assert _line(region.rows, region.extra_precedences) == comb(a + b, a)
+            assert count_syt(region) == comb(a + b, a)
+
+    def test_a_count_beyond_64_bits_equals_frobenius_young(self):
+        region = build_region("part:14,10,10,6,5,4,1")
+        assert _line_region(region) is not None
+        count = count_syt(region)
+        assert count >= 2**64
+        assert count == frobenius_young((14, 10, 10, 6, 5, 4, 1))
+
+    def test_a_shifted_shape_on_the_kernel_equals_schur(self):
+        region = build_region("shifted:15,14,8,6,4,3,2")
+        assert _line_region(region) is not None
+        assert count_syt(region) == schur_count((15, 14, 8, 6, 4, 3, 2))
 
 
 class TestNoFilling:
@@ -378,7 +406,7 @@ class TestNoFilling:
         assert list(enumerate_syt(region)) == []
 
     def test_line_kernel_counts_zero(self):
-        assert _line(NO_FILLING) == 0
+        assert _line(NO_FILLING.rows, NO_FILLING.extra_precedences) == 0
 
 
 class TestEnumerate:
