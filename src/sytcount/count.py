@@ -83,7 +83,7 @@ def _cell_masks(rows, pairs):
 # The line kernel runs once the region has at least this many order ideals
 # per ideal of the region minus its last row, as ``_ideal_counts`` estimates
 # them, and the last row holds two cells.  Timed on 341 random shapes, the
-# kernel won on 185 of the 196 from this ratio on (README, "Counting").
+# kernel won on 191 of the 202 from this ratio on (README, "Counting").
 _LINE_CROSSOVER = 1.75
 
 
@@ -204,7 +204,7 @@ def _sweep(region: CellRegion) -> int:
     rows, pairs = region.rows, region.extra_precedences
     width, full, no_left, no_up, gated, sources = _cell_masks(rows, pairs)
     states = {0: 1}
-    for _ in range(full.bit_count()):
+    for _ in range(region.size):
         nxt: dict[int, int] = {}
         get = nxt.get
         for state, ways in states.items():
