@@ -375,7 +375,7 @@ class TestLineKernel:
         # Two rows that share no column: every interleaving is a filling, so
         # the count is N! / (a! b!), the bound the kernel sizes its fields by
         # when the rows stay rows.  With rows of 5 and 1 cells, the vector of
-        # the first four cells holds 5, as many bits as the bound 6.
+        # the ideal of four top-row cells holds 5, as many bits as the bound 6.
         a, b = (e - s + 1 for s, e in rows)
         for region in orientations(CellRegion(rows)):
             assert _line(region.rows, region.extra_precedences) == comb(a + b, a)
