@@ -238,9 +238,22 @@ def binomial_convolution_lhs(t1: int, t2: int, upper: int) -> int:
     """``sum_i C(t1 + i, t1) * C(t2 + upper - i, t2)`` for ``i = 0..upper``.
 
     Closed form: ``C(t1 + t2 + upper + 1, t1 + t2 + 1)``; the closed form is
-    what the identity tests compare against.
+    what the identity tests compare against.  The two factors are running
+    products, ``C(t1 + i, t1)`` up from 1 and ``C(t2 + upper - i, t2)`` down
+    from ``C(t2 + upper, t2)``.  A negative ``upper`` sums nothing; a
+    negative ``t1`` or ``t2`` raises as :func:`binomial` does on the first
+    term with a negative top.
     """
-    return sum(
-        binomial(t1 + i, t1) * binomial(t2 + upper - i, t2)
-        for i in range(upper + 1)
-    )
+    if upper < 0:
+        return 0
+    if t1 < 0:
+        binomial(t1, t1)  # raises, at the term i = 0
+    if t2 < 0:
+        binomial(min(t2 + upper, -1), t2)  # raises, at the first i whose top is negative
+    a, b = 1, binomial(t2 + upper, t2)
+    total = b
+    for i in range(upper):
+        a = a * (t1 + i + 1) // (i + 1)
+        b = b * (upper - i) // (t2 + upper - i)
+        total += a * b
+    return total

@@ -10,13 +10,16 @@ classified as an ordinary, shifted, or general region.
 Splits work on flat label lists laid out by the region's order table
 (``CellRegion.order``): the low piece reads the labels in row-major order,
 the high piece in the table's reflection order, where each column is one
-reflected row.  A byte flag per cell marks the labels a piece keeps, and
-each row of the piece is one slice of the list.  Reassembly writes both
-pieces' rows as slices into the region's flat list.  The few outlines that
-recur (ordinary or shifted diagrams in standard position) come from a
-small bounded cache, so a split does not rebuild and revalidate the same
-region, or its order table, for every tableau.  Every piece and every
-reassembled tableau still goes through ``is_valid_tableau``.
+reflected row.  A byte flag per cell marks the labels a piece keeps.
+Everything else about the piece (which rows it keeps, the slice of the
+list that fills each row, its region in standard position, or the error
+the flags raise) depends on the region and the flags alone, so it is
+worked out once as an outline plan and kept in a bounded cache.  Where a
+reassembly puts each label, or that the pieces fall outside the region or
+overlap, depends on the three regions alone and is kept the same way as a
+tiling plan.  The region facts both plans read are computed once per
+region.  Every piece and every reassembled tableau still goes through
+``is_valid_tableau``, and every error is raised afresh.
 
 ``split_threshold`` cuts a full rectangle or full shifted staircase at a
 fixed label and is invertible (``unsplit_threshold``).  ``split_pivot``
@@ -30,20 +33,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Iterable, Sequence
 
 from .count import count_syt, enumerate_syt, is_valid_tableau
 from .formulas import _rect_prefix, _stair_prefix, rect_pair_terms, stair_pair_terms
 from .shapes import (
     Cell,
     CellRegion,
+    Gather,
     Interval,
+    OrderTable,
     Partition,
     PartitionLike,
-    Precedence,
     ShapeError,
     StrictPartition,
     Tableau,
+    _gather,
     ordinary_region,
     shifted_region,
 )
@@ -88,22 +92,85 @@ def _flavor_of(region: CellRegion) -> str:
     return "auto"
 
 
-def _threshold_flavor(region: CellRegion) -> str:
-    """The piece flavor of a region that threshold splitting accepts."""
+def _threshold_flavor(region: CellRegion) -> str | None:
+    """The piece flavor of a region that threshold splitting accepts, or
+    None for a region it refuses."""
     full_staircase = _is_full_staircase(region)
     if not (full_staircase or _is_full_rectangle(region)):
-        raise UnsupportedRegion(
-            "threshold splitting needs a full rectangle or full staircase"
-        )
+        return None
     flavor = _flavor_of(region)
     if flavor == "auto":
         flavor = "shifted" if full_staircase else "ordinary"
     return flavor
 
 
-# Where a region's rows lie in a flat label list: (row, first column, start,
-# stop) for each row, in increasing row order.
-_Segments = Iterable[tuple[int, int, int, int]]
+# Where an outline's rows lie in a flat label list: (row, first column,
+# start, stop) for each row, in increasing row order.
+_Segments = tuple[tuple[int, int, int, int], ...]
+
+
+def _reflected_segments(order: OrderTable, height: int, width: int) -> _Segments:
+    """The rows of the reflection of an outline across the anti-diagonal of
+    a ``height x width`` box, over its labels in reflection order: ``(r,
+    c)`` goes to ``(width + 1 - c, height + 1 - r)``."""
+    # The reflection order lists the labels column by column, right to left
+    # and bottom-up, so each column is one reflected row.
+    return tuple(
+        (width + 1 - c, height + 1 - bottom, lo, hi)
+        for c, bottom, lo, hi in order.columns
+    )
+
+
+# One side of a region's splits over its flat label list, read in row-major
+# order (low) or reflection order (high): the rows' segments, and each extra
+# precedence as its two cells' list positions and side coordinates.
+_Side = tuple[_Segments, tuple[tuple[int, int, Cell, Cell], ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """What every split and reassembly of one region shares.  Compared by
+    identity, so the plan caches key on it at the cost of a pointer."""
+
+    region: CellRegion
+    threshold_flavor: str | None
+    low: _Side
+    high: _Side
+
+
+@lru_cache(maxsize=64)
+def _layout(region: CellRegion) -> _Layout:
+    """The layout of ``region``, built once while the region is among the 64
+    most recently split or reassembled."""
+    order = region.order
+    nrows, ncols = region.num_rows, region.max_col
+    # the place of each row-major position in the reflection order
+    at = {i: j for j, i in enumerate(order.reflect(range(region.size)))}
+
+    def reflect(cell: Cell) -> Cell:
+        r, c = cell
+        return (ncols + 1 - c, nrows + 1 - r)
+
+    pairs = [(order.index[a], order.index[b], a, b) for a, b in region.extra_precedences]
+    return _Layout(
+        region,
+        _threshold_flavor(region),
+        (order.rows, tuple(pairs)),
+        (
+            _reflected_segments(order, nrows, ncols),
+            tuple((at[j], at[i], reflect(b), reflect(a)) for i, j, a, b in pairs),
+        ),
+    )
+
+
+def _threshold_layout(region: CellRegion) -> _Layout:
+    """The layout of a region that threshold splitting accepts."""
+    layout = _layout(region)
+    if layout.threshold_flavor is None:
+        raise UnsupportedRegion(
+            "threshold splitting needs a full rectangle or full staircase"
+        )
+    return layout
 
 
 @lru_cache(maxsize=256)
@@ -111,8 +178,7 @@ def _plain_region(flavor: str, intervals: tuple[Interval, ...]) -> CellRegion | 
     """The ordinary or shifted region with these row intervals, as far as
     ``flavor`` allows one, or None for a general outline.
     """
-    # A split of one region yields the same few piece outlines over and
-    # over; the bound keeps splits of many large regions from holding memory.
+    # Plans of different pieces share the few outlines that recur.
     lengths = tuple(e - s + 1 for s, e in intervals)
     if flavor != "shifted" and all(s == 1 for s, _ in intervals):
         if all(a >= b for a, b in zip(lengths, lengths[1:])):
@@ -125,23 +191,22 @@ def _plain_region(flavor: str, intervals: tuple[Interval, ...]) -> CellRegion | 
     return None
 
 
-def _assemble(
-    segments: _Segments,
-    labels: Sequence[int],
-    keep: bytes,
-    flavor: str,
-    pairs: Iterable[Precedence],
-) -> Tableau:
-    """Build a standalone tableau from the cells that ``keep`` flags.
+@lru_cache(maxsize=1024)
+def _piece_plan(
+    layout: _Layout, high: bool, flavor: str, keep: bytes
+) -> tuple[CellRegion, tuple[slice, ...]] | str:
+    """The outline of the piece that ``keep`` flags on the low or high side
+    of ``layout``'s region: its region in standard position and the slice
+    of the flat list that fills each of its rows, or the message of the
+    ShapeError it raises.
 
-    Translates the kept cells to standard position, classifies the
-    outline, and checks validity; a failed check means the cells did not
-    come from a split of a standard tableau.  ``pairs`` lists the extra
-    precedences among the kept cells; it is read only for a general
-    outline.
+    Every split of the region that keeps the same cells shares this plan.
+    The region is ordinary or shifted as far as ``flavor`` allows, and else
+    general with the extra precedences among the kept cells moved along.
     """
+    segments, pairs = layout.high if high else layout.low
     top = broken = None
-    intervals, rows = [], []
+    intervals, slices = [], []
     for r, s, lo, hi in segments:
         first = keep.find(1, lo, hi)
         if first < 0:
@@ -152,14 +217,14 @@ def _assemble(
         if broken is None and keep.find(0, first, last) >= 0:
             broken = r
         intervals.append((s + first - lo, s + last - lo))
-        rows.append(labels[first : last + 1])
+        slices.append(slice(first, last + 1))
         bottom = r
     if top is None:
-        return Tableau(_plain_region(flavor, ()), ())
-    if bottom - top + 1 != len(rows):
-        raise ShapeError("piece has a gap between rows")
+        return _plain_region(flavor, ()), ()
+    if bottom - top + 1 != len(slices):
+        return "piece has a gap between rows"
     if broken is not None:
-        raise ShapeError(f"piece row {broken} is not contiguous")
+        return f"piece row {broken} is not contiguous"
     dc = 1 - min(intervals)[0]
     if dc:
         intervals = [(s + dc, e + dc) for s, e in intervals]
@@ -167,61 +232,44 @@ def _assemble(
     if region is None:
         dr = 1 - top
         moved_pairs = frozenset(
-            ((a[0] + dr, a[1] + dc), (b[0] + dr, b[1] + dc)) for a, b in pairs
+            ((a[0] + dr, a[1] + dc), (b[0] + dr, b[1] + dc))
+            for i, j, a, b in pairs
+            if keep[i] and keep[j]
         )
         region = CellRegion(tuple(intervals), moved_pairs, "general")
-    piece = Tableau(region, rows)
+    return region, tuple(slices)
+
+
+def _piece(
+    layout: _Layout, high: bool, flavor: str, labels: list[int], keep: bytes
+) -> Tableau:
+    """The standalone tableau of the cells that ``keep`` flags; a failed
+    validity check means the cells did not come from a split of a standard
+    tableau."""
+    plan = _piece_plan(layout, high, flavor, keep)
+    if isinstance(plan, str):
+        raise ShapeError(plan)
+    region, slices = plan
+    piece = Tableau(region, [labels[s] for s in slices])
     if not is_valid_tableau(piece):
         raise ShapeError("split produced an invalid filling")
     return piece
 
 
-def _reflected(
-    t: Tableau, height: int, width: int, total: int
-) -> tuple[_Segments, list[int]]:
-    """The filling ``t`` reflected across the anti-diagonal of a ``height x
-    width`` box, as segments over a flat label list: ``(r, c)`` goes to
-    ``(width + 1 - c, height + 1 - r)`` and ``label`` to ``total + 1 -
-    label``.
-    """
-    # The region's reflection order lists the labels column by column,
-    # right to left and bottom-up, so each column is one reflected row.
-    order = t.region.order
-    labels = [total + 1 - lbl for lbl in order.reflect(list(chain.from_iterable(t.rows)))]
-    segments = [
-        (width + 1 - c, height + 1 - bottom, lo, hi)
-        for c, bottom, lo, hi in order.columns
-    ]
-    return segments, labels
-
-
-def _low_piece(t: Tableau, bound: int, flavor: str) -> Tableau:
+def _split(
+    t: Tableau, layout: _Layout, flavor: str, low_bound: int, high_bound: int
+) -> tuple[Tableau, Tableau]:
+    """The piece of labels up to ``low_bound`` and the renumbered reflection
+    of the labels above ``high_bound``."""
     labels = list(chain.from_iterable(t.rows))
-    keep = bytes([lbl <= bound for lbl in labels])
-    pairs = (
-        (a, b)
-        for a, b in t.region.extra_precedences
-        if t.label_at(*a) <= bound and t.label_at(*b) <= bound
+    total = len(labels)
+    reflected = [total + 1 - lbl for lbl in t.region.order.reflect(labels)]
+    # a label above ``high_bound`` is at most ``total - high_bound`` once renumbered
+    top = total - high_bound
+    return (
+        _piece(layout, False, flavor, labels, bytes([lbl <= low_bound for lbl in labels])),
+        _piece(layout, True, flavor, reflected, bytes([lbl <= top for lbl in reflected])),
     )
-    return _assemble(t.region.order.rows, labels, keep, flavor, pairs)
-
-
-def _high_piece(t: Tableau, bound: int, flavor: str) -> Tableau:
-    nrows, ncols, total = t.region.num_rows, t.region.max_col, t.size
-
-    def reflect(cell: Cell) -> Cell:
-        r, c = cell
-        return (ncols + 1 - c, nrows + 1 - r)
-
-    pairs = (
-        (reflect(b), reflect(a))
-        for a, b in t.region.extra_precedences
-        if t.label_at(*a) > bound and t.label_at(*b) > bound
-    )
-    segments, labels = _reflected(t, nrows, ncols, total)
-    # a label above ``bound`` is at most ``total - bound`` once renumbered
-    keep = bytes([lbl <= total - bound for lbl in labels])
-    return _assemble(segments, labels, keep, flavor, pairs)
 
 
 def split_threshold(t: Tableau, thresh: int) -> SplitResult:
@@ -232,14 +280,41 @@ def split_threshold(t: Tableau, thresh: int) -> SplitResult:
     (ordinary or shifted) standard tableaux.
     """
     region = t.region
-    flavor = _threshold_flavor(region)
+    layout = _threshold_layout(region)
     if not 0 <= thresh <= region.size:
         raise ValueError(f"threshold must lie in 0..{region.size}, got {thresh}")
-    return SplitResult(
-        thresh,
-        _low_piece(t, thresh, flavor),
-        _high_piece(t, thresh, flavor),
-    )
+    return SplitResult(thresh, *_split(t, layout, layout.threshold_flavor, thresh, thresh))
+
+
+@lru_cache(maxsize=512)
+def _tiling(
+    layout: _Layout, low: CellRegion, high: CellRegion
+) -> tuple[Gather, ...] | None:
+    """Where a reassembly into ``layout``'s region puts each label: one
+    gather per region row over the low piece's labels in row-major order
+    followed by the high piece's, or None when the pieces do not tile the
+    region."""
+    region = layout.region
+    index = region.order.index
+    n = low.size
+    slots: list[int | None] = [None] * region.size
+    for segments, sources in (
+        (low.order.rows, range(n)),
+        (
+            _reflected_segments(high.order, region.max_col, region.num_rows),
+            high.order.reflect(range(n, n + high.size)),
+        ),
+    ):
+        for r, s, lo, hi in segments:
+            i = index.get((r, s))
+            if i is None or (r, s + hi - lo - 1) not in index:
+                return None
+            slots[i : i + hi - lo] = sources[lo:hi]
+    # The piece sizes add up to the region's and every cell landed inside
+    # it, so an overlap leaves a slot empty.
+    if None in slots:
+        return None
+    return tuple(_gather(slots[lo:hi]) for _, _, lo, hi in region.order.rows)
 
 
 def unsplit_threshold(split: SplitResult, region: CellRegion) -> Tableau:
@@ -249,29 +324,17 @@ def unsplit_threshold(split: SplitResult, region: CellRegion) -> Tableau:
     coordinates and the high piece is reflected back.  Raises
     :class:`IncompatibleShapes` when the pieces do not tile the region.
     """
-    _threshold_flavor(region)
+    layout = _threshold_layout(region)
     total = region.size
-    if split.first.size != split.t or split.second.size != total - split.t:
+    low, high = split.first, split.second
+    if low.size != split.t or high.size != total - split.t:
         raise IncompatibleShapes("piece sizes do not match the threshold")
-    nrows, ncols = region.num_rows, region.max_col
-    order = region.order
-    slots: list[int | None] = [None] * total
-    low = split.first
-    for segments, labels in (
-        (low.region.order.rows, list(chain.from_iterable(low.rows))),
-        _reflected(split.second, ncols, nrows, total),
-    ):
-        for r, s, lo, hi in segments:
-            i = order.index.get((r, s))
-            if i is None or (r, s + hi - lo - 1) not in order.index:
-                raise IncompatibleShapes("pieces do not tile the region")
-            slots[i : i + hi - lo] = labels[lo:hi]
-    # The piece sizes add up to the region's and every cell landed inside
-    # it, so an overlap leaves a slot empty.
-    if None in slots:
+    rows = _tiling(layout, low.region, high.region)
+    if rows is None:
         raise IncompatibleShapes("pieces do not tile the region")
-    rows = [slots[lo:hi] for _, _, lo, hi in order.rows]
-    out = Tableau(region, rows)
+    labels = list(chain.from_iterable(low.rows))
+    labels += [total + 1 - lbl for lbl in chain.from_iterable(high.rows)]
+    out = Tableau(region, [row(labels) for row in rows])
     if not is_valid_tableau(out):
         raise IncompatibleShapes("pieces tile the region but break the order")
     return out
@@ -298,20 +361,22 @@ def split_pivot(t: Tableau, pivot: Cell) -> SplitResult:
     if not is_boundary_cell(region, pivot):
         raise NotOnBoundary(f"{pivot} has region cells strictly northeast")
     label = t.label_at(*pivot)
-    flavor = _flavor_of(region)
-    return SplitResult(
-        label,
-        _low_piece(t, label - 1, flavor),
-        _high_piece(t, label, flavor),
-    )
+    return SplitResult(label, *_split(t, _layout(region), _flavor_of(region), label - 1, label))
 
 
 def piece_shape(t: Tableau) -> Partition | StrictPartition:
     """Row-length partition of a plain (ordinary or shifted) piece."""
-    lengths = tuple(e - s + 1 for s, e in t.region.rows)
-    if t.region.kind == "shifted":
+    return _piece_shape(t.region)
+
+
+@lru_cache(maxsize=256)
+def _piece_shape(region: CellRegion) -> Partition | StrictPartition:
+    # pieces share their regions through the plans, so a histogram builds
+    # each shape once
+    lengths = tuple(e - s + 1 for s, e in region.rows)
+    if region.kind == "shifted":
         return StrictPartition(lengths)
-    if t.region.kind == "ordinary":
+    if region.kind == "ordinary":
         return Partition(lengths)
     raise ShapeError("piece is not a plain diagram")
 
@@ -337,10 +402,6 @@ class PivotReport:
     tableau_count: int
     identity_sum: int
     terms: tuple[tuple[tuple, int], ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.tableau_count == self.identity_sum
 
 
 def _pivot_report(

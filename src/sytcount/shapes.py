@@ -351,6 +351,15 @@ class CellRegion:
             if src not in self or dst not in self:
                 raise ShapeError(f"precedence {src} -> {dst} leaves the region")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Regions key the split caches in ``pivot``; the fields are frozen,
+        # so the hash of the field tuple is taken once.
+        return hash((self.rows, self.extra_precedences, self.kind))
+
     @property
     def num_rows(self) -> int:
         return len(self.rows)

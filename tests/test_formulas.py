@@ -239,3 +239,29 @@ class TestBinomialConvolution:
     def test_small_case_by_hand(self):
         # 1*1 + 1*1 + 1*1 == C(3,1) at t1 = t2 = 0, upper = 2
         assert binomial_convolution_lhs(0, 0, 2) == 3
+
+    @staticmethod
+    def comb_sum(t1, t2, upper):
+        """The sum term by term, each term from ``math.comb``; a negative top
+        raises as ``binomial`` does, and a negative bottom gives 0."""
+        def c(n, k):
+            if n < 0:
+                raise ValueError(f"binomial needs nonnegative n, got {n}")
+            return math.comb(n, k) if 0 <= k <= n else 0
+
+        return sum(c(t1 + i, t1) * c(t2 + upper - i, t2) for i in range(upper + 1))
+
+    @pytest.mark.parametrize("t1", range(-4, 7))
+    def test_running_products_match_the_comb_sum(self, t1):
+        # zero and negative arguments included: a negative upper sums
+        # nothing, a negative t1 or t2 raises with the first negative top
+        for t2 in range(-4, 7):
+            for upper in range(-3, 12):
+                try:
+                    want = self.comb_sum(t1, t2, upper)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as info:
+                        binomial_convolution_lhs(t1, t2, upper)
+                    assert str(info.value) == str(exc), (t1, t2, upper)
+                else:
+                    assert binomial_convolution_lhs(t1, t2, upper) == want, (t1, t2, upper)

@@ -14,7 +14,11 @@ from sytcount.pivot import (
     SplitResult,
     UnsupportedRegion,
     _flavor_of,
+    _layout,
+    _piece_plan,
+    _piece_shape,
     _plain_region,
+    _tiling,
     is_boundary_cell,
     piece_shape,
     pivot_shape_histogram,
@@ -343,7 +347,6 @@ class TestPivotIdentities:
     @pytest.mark.parametrize("mu,m,want", STAIR_CASES)
     def test_staircase_families(self, mu, m, want):
         report = verify_pivot_identity_staircase(StrictPartition(mu), m)
-        assert report.passed
         assert report.tableau_count == want
         assert report.identity_sum == want
         assert sum(v for _, v in report.terms) == want
@@ -363,7 +366,6 @@ class TestPivotIdentities:
     @pytest.mark.parametrize("mu,k,m,n,want", RECT_CASES)
     def test_rect_families(self, mu, k, m, n, want):
         report = verify_pivot_identity_rect(Partition(mu), k, m, n)
-        assert report.passed
         assert report.tableau_count == want
         assert report.identity_sum == want
 
@@ -727,3 +729,94 @@ class TestAgainstReference:
                 assert split == reference_split_threshold(t, thresh)
                 assert unsplit_threshold(split, region) == t
                 assert reference_unsplit_threshold(split, region) == t
+
+
+class TestPlanCaches:
+    """A split or reassembly that reuses a cached plan agrees with the first
+    one and with the reference, errors included."""
+
+    # labels 1..12 of rect:3x4 in a fixed shuffled order, and the standard
+    # filling below with labels 6 and 7 swapped
+    PERMUTED = Tableau(
+        build_region("rect:3x4"), ((5, 11, 2, 8), (12, 1, 7, 4), (9, 3, 10, 6))
+    )
+    SWAPPED = Tableau(
+        build_region("rect:3x4"), ((1, 2, 3, 4), (5, 7, 6, 8), (9, 10, 11, 12))
+    )
+
+    @pytest.mark.parametrize("t", [STAIR5_T, PERMUTED, SWAPPED])
+    def test_threshold_split_twice(self, t):
+        for thresh in range(t.size + 1):
+            first = outcome(split_threshold, t, thresh)
+            again = outcome(split_threshold, t, thresh)
+            assert again == first == outcome(reference_split_threshold, t, thresh), thresh
+
+    def test_pivot_split_twice(self):
+        # general pieces with moved diagonal pairs, from the plan the second time
+        region = build_region("stair:5/2")
+        t = Tableau(region, ((1, 2, 3), (4, 5, 6, 7), (8, 9, 10), (11, 12), (13,)))
+        for cell in ((2, 5), (1, 1)):
+            first = split_pivot(t, cell)
+            assert split_pivot(t, cell) == first == reference_split_pivot(t, cell)
+
+    def test_raise_is_fresh_each_time(self):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(ShapeError) as info:
+                split_threshold(self.PERMUTED, 6)
+            seen.append(info.value)
+        assert seen[0] is not seen[1]
+        assert str(seen[0]) == str(seen[1])
+
+    @pytest.mark.parametrize(
+        "high_rows,message",
+        [(((1,), (2,), (3,)), "do not tile"), (((2, 3), (1,)), "break the order")],
+    )
+    def test_unsplit_the_same_bad_pair_twice(self, high_rows, message):
+        low = TestUnsplitErrors.LOW
+        high_region = (
+            ordinary_region(Partition((1, 1, 1)))
+            if len(high_rows) == 3
+            else ordinary_region(Partition((2, 1)))
+        )
+        split = SplitResult(3, low, Tableau(high_region, high_rows))
+        region = build_region("rect:2x3")
+        seen = []
+        for _ in range(2):
+            with pytest.raises(IncompatibleShapes, match=message) as info:
+                unsplit_threshold(split, region)
+            seen.append(info.value)
+        assert _tiling.cache_info().hits >= 1
+        assert seen[0] is not seen[1]
+        assert outcome(unsplit_threshold, split, region) == outcome(
+            reference_unsplit_threshold, split, region
+        )
+
+    def test_equal_regions_built_apart_share_one_entry(self):
+        a, b = build_region("rect:3x4"), build_region("rect:3x4")
+        assert a is not b
+        assert hash(a) == hash(b)
+        assert _layout(a) is _layout(b)
+
+    def test_caches_hold_the_working_set_within_their_bounds(self):
+        # Round trips over every tableau of rect:3x4 and stair:5, at the
+        # thresholds k and N - k with k running over 0..N, visit every
+        # plan these shapes need; a second pass finds all of them cached.
+        def round_trips():
+            for descriptor in ("rect:3x4", "stair:5"):
+                region = build_region(descriptor)
+                n = region.size
+                for i, t in enumerate(enumerate_syt(region)):
+                    for thresh in (i % (n + 1), n - i % (n + 1)):
+                        split = split_threshold(t, thresh)
+                        assert piece_shape(split.first).size == thresh
+                        assert unsplit_threshold(split, region) == t
+
+        caches = (_layout, _piece_plan, _piece_shape, _tiling)
+        round_trips()
+        misses = [cache.cache_info().misses for cache in caches]
+        round_trips()
+        for cache, before in zip(caches, misses):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+            assert info.misses == before, cache.__name__
