@@ -3,16 +3,16 @@ truncated shapes: brute-force oracles, product formulas, splitting
 bijections, and a command-line front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arith import (
     FactoredRatio,
     Factorization,
     NotAnInteger,
     binomial,
-    binomial_ratio,
     factorial_ratio,
     factorize,
     is_smooth,
-    superfactorial,
 )
 from .count import (
     LabelSetMismatch,
@@ -58,10 +58,8 @@ from .shapes import (
     build_region,
     complement_in_rectangle,
     complement_in_staircase,
-    conjugate,
     ordinary_region,
     parse_descriptor,
-    partition_sum,
     partitions_in_box,
     rotate180,
     shifted_region,
@@ -86,31 +84,7 @@ from .truncated import (
     theorem_staircase_sum_direct,
 )
 
-__all__ = [
-    "FactoredRatio", "Factorization", "NotAnInteger", "binomial",
-    "binomial_ratio", "factorial_ratio", "factorize", "is_smooth",
-    "superfactorial",
-    "LabelSetMismatch", "count_syt", "count_syt_dfs", "enumerate_syt",
-    "is_valid_tableau",
-    "PartTooSmall", "coeff_c", "coeff_d", "frobenius_young", "rectangle_count",
-    "schur_count", "staircase_count", "sum_identity_rect",
-    "sum_identity_shifted",
-    "IncompatibleShapes", "NotOnBoundary", "PivotReport", "SplitResult",
-    "UnsupportedRegion", "pivot_shape_histogram", "split_pivot",
-    "split_threshold", "unsplit_threshold", "verify_pivot_identity_rect",
-    "verify_pivot_identity_staircase",
-    "CellRegion", "InvalidSpec", "InvalidTruncation", "NotContained",
-    "Partition", "ShapeError", "StrictPartition", "StrictnessViolation",
-    "Tableau", "build_region", "complement_in_rectangle",
-    "complement_in_staircase", "conjugate", "ordinary_region",
-    "parse_descriptor", "partition_sum", "partitions_in_box", "rotate180",
-    "shifted_region", "staircase", "strict_partitions_in_staircase",
-    "truncated_rectangle_region", "truncated_staircase_region", "union",
-    "conjecture_square_minus_two", "count_rect_minus_corner",
-    "count_rect_minus_square", "count_rect_minus_square_plus1",
-    "count_stair_minus_corner", "count_stair_minus_square",
-    "count_stair_minus_square_plus1", "count_stair_minus_substaircase2",
-    "theorem_rect_sum", "theorem_rect_sum_direct", "theorem_staircase_sum",
-    "theorem_staircase_sum_direct",
-]
+# Every public name imported above, and none of the submodules.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

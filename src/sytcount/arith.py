@@ -148,10 +148,6 @@ class Factorization:
     pairs: tuple[tuple[int, int], ...] = ()
 
     @property
-    def value(self) -> int:
-        return math.prod(p**e for p, e in self.pairs)
-
-    @property
     def largest_prime(self) -> int:
         """Largest prime factor; 1 for the empty factorization of 1."""
         return self.pairs[-1][0] if self.pairs else 1
@@ -159,9 +155,6 @@ class Factorization:
     def is_smooth(self, bound: int) -> bool:
         """True when every prime factor is at most ``bound``; 1 has none."""
         return all(p <= bound for p, _ in self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
     def __str__(self) -> str:
         if not self.pairs:
@@ -226,13 +219,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def superfactorial(m: int) -> int:
-    """Product ``0! * 1! * ... * (m-1)!``."""
-    if m < 0:
-        raise ValueError(f"superfactorial needs nonnegative m, got {m}")
-    return math.prod(math.factorial(i) for i in range(m))
-
-
 def _merge(
     acc: dict[int, int], pairs: Iterable[tuple[int, int]], scale: int
 ) -> None:
@@ -257,10 +243,6 @@ class FactoredRatio:
         object.__setattr__(self, "factors", tuple(self.factors))
 
     @classmethod
-    def one(cls) -> "FactoredRatio":
-        return cls()
-
-    @classmethod
     def from_integer(cls, k: int) -> "FactoredRatio":
         return cls().times(k)
 
@@ -274,14 +256,6 @@ class FactoredRatio:
         _merge(acc, other.factors, -1)
         return _from_exponents(acc, self.sign * other.sign)
 
-    def __pow__(self, e: int) -> "FactoredRatio":
-        if e < 0:
-            raise ValueError("negative powers are not needed; divide instead")
-        return FactoredRatio(
-            tuple((p, x * e) for p, x in self.factors),
-            self.sign if e % 2 else 1,
-        )
-
     def times(self, *ints: int) -> "FactoredRatio":
         """This ratio multiplied by every integer in ``ints``."""
         return _times_powers(self.factors, self.sign, Counter(ints))
@@ -291,10 +265,6 @@ class FactoredRatio:
         return _times_powers(
             self.factors, self.sign, {k: -w for k, w in Counter(ints).items()}
         )
-
-    @property
-    def is_integral(self) -> bool:
-        return self.sign > 0 and all(e >= 0 for _, e in self.factors)
 
     def _check_integral(self) -> None:
         if self.sign < 0:
@@ -418,16 +388,3 @@ def factorial_ratio(
         factors += zip(tail, exponents)
     return _times_powers(factors, 1, powers) if powers else FactoredRatio(tuple(factors))
 
-
-def binomial_ratio(n: int, k: int) -> FactoredRatio:
-    """``n! / (k! (n-k)!)`` for ``0 <= k <= n``."""
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial_ratio needs 0 <= k <= n, got n={n}, k={k}")
-    return factorial_ratio([n], [k, n - k])
-
-
-def superfactorial_ratio(m: int) -> FactoredRatio:
-    """``0! * 1! * ... * (m-1)!`` as a factored ratio."""
-    if m < 0:
-        raise ValueError(f"superfactorial needs nonnegative m, got {m}")
-    return factorial_ratio(list(range(m)), [])

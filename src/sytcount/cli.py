@@ -123,7 +123,7 @@ def formula_count(desc: ShapeDescriptor) -> tuple[str, FactoredRatio, bool] | No
             return ("staircase", staircase_ratio(desc.m), False)
         return ("rectangle", rectangle_ratio(desc.m, desc.n), False)
     for family in FAMILIES.values():
-        params = family.match(desc) if family.match else None
+        params = family.match(desc)
         if params is not None:
             return (family.name, family.ratio(*params), family.conjectural)
     return None

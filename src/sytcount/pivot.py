@@ -236,7 +236,10 @@ def _piece_plan(
             for i, j, a, b in pairs
             if keep[i] and keep[j]
         )
-        region = CellRegion(tuple(intervals), moved_pairs, "general")
+        try:
+            region = CellRegion(tuple(intervals), moved_pairs, "general")
+        except ShapeError as exc:
+            return str(exc)
     return region, tuple(slices)
 
 

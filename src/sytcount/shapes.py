@@ -168,15 +168,6 @@ def union(a: PartitionLike, b: PartitionLike) -> Union[Partition, StrictPartitio
     return Partition(tuple(sorted(pa.parts + pb.parts, reverse=True)))
 
 
-def partition_sum(a: PartitionLike, b: PartitionLike) -> Partition:
-    """Componentwise sum with zero padding."""
-    return coerce_partition(a) + coerce_partition(b)
-
-
-def conjugate(p: PartitionLike) -> Partition:
-    return coerce_partition(p).conjugate()
-
-
 def staircase(m: int) -> StrictPartition:
     """The strict partition ``(m, m-1, ..., 1)``."""
     if m < 0:
@@ -612,10 +603,3 @@ class Tableau:
     def label_at(self, r: int, c: int) -> int:
         s, _ = self.region.rows[r - 1]
         return self.rows[r - 1][c - s]
-
-    def labels(self) -> Iterator[tuple[Cell, int]]:
-        for r, ((s, _), row) in enumerate(
-            zip(self.region.rows, self.rows), start=1
-        ):
-            for j, lbl in enumerate(row):
-                yield (r, s + j), lbl

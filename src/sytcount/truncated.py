@@ -11,6 +11,7 @@ redundant routes can be tested against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Callable
 
 from .arith import FactoredRatio, factorial_ratio
@@ -101,7 +102,9 @@ def theorem_rect_sum_direct(mu: PartitionLike, k: int, m: int, n: int) -> int:
 # so the truncation partition is (k^{k-1}, k-1).  Family "sq": cut a
 # (k-1) x (k-1) square, truncation ((k-1)^{k-1}).  Each family has a
 # staircase and a rectangle variant.  FAMILIES, at the end, is the one
-# table of these families that the CLI and the pivot verifies read.
+# table of these families that the CLI and the pivot verifies read: each
+# entry gives the least value of each parameter and a member's descriptor,
+# and its range check, region and descriptor matching derive from them.
 
 
 def stair_plus1_mu(m: int, k: int) -> StrictPartition:
@@ -115,7 +118,7 @@ def stair_sq_mu(m: int, k: int) -> StrictPartition:
 
 
 def _plus1_kappa(k: int) -> tuple[int, ...]:
-    return (k,) * (k - 1) + (k - 1,)
+    return (k,) * (k - 1) + (k - 1,) if k > 1 else ()
 
 
 def _sq_kappa(k: int) -> tuple[int, ...]:
@@ -124,53 +127,34 @@ def _sq_kappa(k: int) -> tuple[int, ...]:
 
 def stair_minus_square_plus1_region(m: int, k: int) -> CellRegion:
     """Staircase of order m + 2k minus a k x k corner square plus one cell."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    return truncated_staircase_region(m + 2 * k, _plus1_kappa(k))
+    return FAMILIES["stair-sq+1"].region(m, k)
 
 
 def stair_minus_square_region(m: int, k: int) -> CellRegion:
     """Staircase of order m + 2k minus a (k-1) x (k-1) corner square."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    return truncated_staircase_region(m + 2 * k, _sq_kappa(k))
+    return FAMILIES["stair-sq"].region(m, k)
 
 
 def rect_minus_square_plus1_region(m: int, n: int, k: int) -> CellRegion:
     """(m+k) x (n+k) rectangle minus a k x k corner square plus one cell."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
-    return truncated_rectangle_region(m + k, n + k, _plus1_kappa(k))
+    return FAMILIES["rect-sq+1"].region(m, n, k)
 
 
 def rect_minus_square_region(m: int, n: int, k: int) -> CellRegion:
     """(m+k) x (n+k) rectangle minus a (k-1) x (k-1) corner square."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
-    return truncated_rectangle_region(m + k, n + k, _sq_kappa(k))
+    return FAMILIES["rect-sq"].region(m, n, k)
 
 
 def square_minus_two_region(n: int) -> CellRegion:
     """n x n square minus two cells at the end of the first row."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    return truncated_rectangle_region(n, n, Partition((2,)))
+    return FAMILIES["square-minus-two"].region(n)
 
 
 def stair_minus_square_plus1_ratio(m: int, k: int) -> FactoredRatio:
     """Tableaux of the staircase sq+1 family, via the summation theorem
     applied to the prefix (m+k, ..., m+1).
     """
-    if m < 0 or k < 1:
-        raise ValueError(f"need m >= 0 and k >= 1, got m={m}, k={k}")
+    FAMILIES["stair-sq+1"].check(m, k)
     mu = stair_plus1_mu(m, k)
     assert mu.size == k * (2 * m + k + 1) // 2
     return theorem_staircase_sum_ratio(mu, m)
@@ -184,8 +168,7 @@ def stair_minus_square_ratio(m: int, k: int) -> FactoredRatio:
     """Tableaux of the staircase sq family, via the summation theorem
     applied to the prefix (m+k+1, ..., m+3, m+1).
     """
-    if m < 0 or k < 2:
-        raise ValueError(f"need m >= 0 and k >= 2, got m={m}, k={k}")
+    FAMILIES["stair-sq"].check(m, k)
     mu = stair_sq_mu(m, k)
     assert mu.size == k * (2 * m + k + 3) // 2 - 1
     return theorem_staircase_sum_ratio(mu, m)
@@ -201,8 +184,7 @@ def stair_minus_corner_ratio(m: int) -> FactoredRatio:
     ``N! * 4(2m+3) / ((4m+9)! (m+3)) * prod_{i<m} i!/(2i+1)!`` with
     ``N = (m+3)(m+6)/2``.  Must agree with the sq family at k = 2.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    FAMILIES["stair-corner"].check(m)
     top = (m + 3) * (m + 6) // 2
     return factorial_ratio(
         [top] + list(range(m)), [4 * m + 9] + [2 * i + 1 for i in range(m)]
@@ -237,8 +219,7 @@ def rect_minus_square_plus1_ratio(m: int, n: int, k: int) -> FactoredRatio:
     ``N! (mk)! (nk)! / ((mk+nk+1)!) * F_m F_n F_k / F_{m+n+k}`` with
     ``N = mn + mk + nk + 1``.
     """
-    if m < 0 or n < 0 or k < 1:
-        raise ValueError(f"need m, n >= 0 and k >= 1, got m={m}, n={n}, k={k}")
+    FAMILIES["rect-sq+1"].check(m, n, k)
     top = m * n + (m + n) * k + 1
     return factorial_ratio(
         [top, m * k, n * k] + list(range(m)) + list(range(n)) + list(range(k)),
@@ -256,8 +237,7 @@ def rect_minus_square_ratio(m: int, n: int, k: int) -> FactoredRatio:
     ``N! (mk+k-1)! (nk+k-1)! (m+n+1)! k / ((mk+nk+2k-1)!)
     * F_m F_n F_{k-1} / F_{m+n+k+1}`` with ``N = mn + mk + nk + 2k - 1``.
     """
-    if m < 0 or n < 0 or k < 2:
-        raise ValueError(f"need m, n >= 0 and k >= 2, got m={m}, n={n}, k={k}")
+    FAMILIES["rect-sq"].check(m, n, k)
     top = m * n + (m + n) * k + 2 * k - 1
     return factorial_ratio(
         [top, m * k + k - 1, n * k + k - 1, m + n + 1]
@@ -277,8 +257,7 @@ def rect_minus_corner_ratio(m: int, n: int) -> FactoredRatio:
     with ``N = mn + 2m + 2n + 3``.  Must agree with the rectangle sq
     family at k = 2.
     """
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
+    FAMILIES["rect-corner"].check(m, n)
     top = m * n + 2 * m + 2 * n + 3
     return factorial_ratio(
         [top, 2 * m + 1, 2 * n + 1] + list(range(m)) + list(range(n)),
@@ -300,8 +279,7 @@ def conjecture_square_minus_two_ratio(n: int) -> FactoredRatio:
     counts for every n checked here (and is reported as CONJECTURE by the
     command-line tools).
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    FAMILIES["square-minus-two"].check(n)
     return factorial_ratio(
         [n * n - 2, 3 * n - 4, 3 * n - 4] + 2 * list(range(n - 2)),
         [6 * n - 8, 2 * n - 2, n - 2, n - 2] + list(range(2 * n - 4)),
@@ -312,93 +290,105 @@ def conjecture_square_minus_two(n: int) -> int:
     return conjecture_square_minus_two_ratio(n).to_integer()
 
 
+_LEAST_WORDS = {0: "nonnegative", 1: "positive"}
+
+
 @dataclass(frozen=True)
 class Family:
     """One closed-form family, truncating a ``stair`` or ``rect`` geometry.
 
-    ``region`` and ``ratio`` take the parameters named in ``params``, and
-    ``match(desc)`` gives those of a descriptor naming a member, or None.
-    The square families also give the prefix ``mu`` of their summation
-    theorem (None where another family owns it) and the ``pivot`` cell.
+    A member is named by the parameters in ``params``, each at least its
+    value in ``least``; ``shape`` maps them to the sides and truncation of
+    the member's descriptor, and ``ratio`` counts its tableaux.  ``check``,
+    ``region`` and ``match`` are derived from these.  ``propose(desc)``
+    reads the parameters a descriptor would have as a member, which
+    ``match`` takes only when ``shape`` gives that descriptor back; a family
+    without it leaves its members to another.  The square families also
+    give the prefix ``mu`` of their summation theorem (None where another
+    family owns it) and the ``pivot`` cell.
     """
 
     name: str
     params: tuple[str, ...]
+    least: tuple[int, ...]
     geometry: str
-    region: Callable[..., CellRegion]
+    shape: Callable[..., tuple[tuple[int, ...], tuple[int, ...]]]
     ratio: Callable[..., FactoredRatio]
-    match: Callable[[ShapeDescriptor], tuple[int, ...] | None] | None = None
+    propose: Callable[[ShapeDescriptor], tuple[int, ...]] | None = None
     mu: Callable[..., Partition | StrictPartition | None] | None = None
     pivot: Callable[..., Cell] | None = None
     conjectural: bool = False
 
+    def check(self, *values: int) -> None:
+        """Raise ValueError for the first parameter below its least value."""
+        for name, value, least in zip(self.params, values, self.least):
+            if value < least:
+                word = _LEAST_WORDS.get(least, f"at least {least}")
+                raise ValueError(f"{name} must be {word}, got {value}")
 
-def _square_match(geometry: str, kappa_of: Callable[[int], tuple], extra: int):
-    """Matcher for the descriptors truncated by ``kappa_of(k)``, which has
-    ``k - extra`` parts, for some k >= 2; gives (m, k) or (m, n, k)."""
+    def region(self, *values: int) -> CellRegion:
+        self.check(*values)
+        sides, kappa = self.shape(*values)
+        if self.geometry == "stair":
+            return truncated_staircase_region(*sides, kappa)
+        return truncated_rectangle_region(*sides, kappa)
 
-    def match(desc: ShapeDescriptor) -> tuple[int, ...] | None:
-        kappa = desc.kappa.parts
-        k = len(kappa) + extra
-        if desc.family != geometry or k < 2 or kappa != kappa_of(k):
+    def match(self, desc: ShapeDescriptor) -> tuple[int, ...] | None:
+        """The parameters of the member that ``desc`` names, or None."""
+        if self.propose is None or desc.family != self.geometry:
             return None
-        if geometry == "stair":
-            return (desc.m - 2 * k, k) if desc.m >= 2 * k else None
-        return (desc.m - k, desc.n - k, k) if min(desc.m, desc.n) >= k else None
-
-    return match
-
-
-def _square_minus_two_match(desc: ShapeDescriptor) -> tuple[int] | None:
-    if desc.family == "rect" and desc.kappa.parts == (2,) and desc.m == desc.n >= 2:
-        return (desc.n,)
-    return None
+        values = self.propose(desc)
+        sides = (desc.m,) if self.geometry == "stair" else (desc.m, desc.n)
+        if all(map(ge, values, self.least)) and self.shape(*values) == (sides, desc.kappa.parts):
+            return values
+        return None
 
 
 # The sq prefixes need k >= 2: at k = 1 they equal the sq+1 prefixes.
 # At n = 0 the rect-sq+1 cut spans the full width, so the region loses its
-# top k - 1 rows and the pivot moves to row 1.
+# top k - 1 rows and the pivot moves to row 1.  The corner families are the
+# sq families at k = 2, which count their descriptors.
 FAMILIES: dict[str, Family] = {family.name: family for family in (
     Family(
-        "stair-sq", ("m", "k"), "stair",
-        stair_minus_square_region, stair_minus_square_ratio,
-        match=_square_match("stair", _sq_kappa, 1),
+        "stair-sq", ("m", "k"), (0, 2), "stair",
+        lambda m, k: ((m + 2 * k,), _sq_kappa(k)), stair_minus_square_ratio,
+        propose=lambda d: (d.m - 2 * len(d.kappa) - 2, len(d.kappa) + 1),
         mu=lambda m, k: stair_sq_mu(m, k) if k >= 2 else None,
         pivot=lambda m, k: (k, m + k + 1),
     ),
     Family(
-        "stair-sq+1", ("m", "k"), "stair",
-        stair_minus_square_plus1_region, stair_minus_square_plus1_ratio,
-        match=_square_match("stair", _plus1_kappa, 0),
+        "stair-sq+1", ("m", "k"), (0, 1), "stair",
+        lambda m, k: ((m + 2 * k,), _plus1_kappa(k)), stair_minus_square_plus1_ratio,
+        propose=lambda d: (d.m - 2 * len(d.kappa), len(d.kappa)),
         mu=stair_plus1_mu,
         pivot=lambda m, k: (k, m + k + 1),
     ),
     Family(
-        "rect-sq", ("m", "n", "k"), "rect",
-        rect_minus_square_region, rect_minus_square_ratio,
-        match=_square_match("rect", _sq_kappa, 1),
+        "rect-sq", ("m", "n", "k"), (0, 0, 2), "rect",
+        lambda m, n, k: ((m + k, n + k), _sq_kappa(k)), rect_minus_square_ratio,
+        propose=lambda d: (d.m - len(d.kappa) - 1, d.n - len(d.kappa) - 1, len(d.kappa) + 1),
         mu=lambda m, n, k: Partition((1,) * (k - 1)) if k >= 2 else None,
         pivot=lambda m, n, k: (k, n + 1),
     ),
     Family(
-        "rect-sq+1", ("m", "n", "k"), "rect",
-        rect_minus_square_plus1_region, rect_minus_square_plus1_ratio,
-        match=_square_match("rect", _plus1_kappa, 0),
+        "rect-sq+1", ("m", "n", "k"), (0, 0, 1), "rect",
+        lambda m, n, k: ((m + k, n + k), _plus1_kappa(k)), rect_minus_square_plus1_ratio,
+        propose=lambda d: (d.m - len(d.kappa), d.n - len(d.kappa), len(d.kappa)),
         mu=lambda m, n, k: Partition(),
         pivot=lambda m, n, k: (k if n else 1, n + 1),
     ),
     Family(
-        "stair-corner", ("m",), "stair",
-        lambda m: stair_minus_square_region(m, 2), stair_minus_corner_ratio,
+        "stair-corner", ("m",), (0,), "stair",
+        lambda m: ((m + 4,), (1,)), stair_minus_corner_ratio,
     ),
     Family(
-        "rect-corner", ("m", "n"), "rect",
-        lambda m, n: rect_minus_square_region(m, n, 2), rect_minus_corner_ratio,
+        "rect-corner", ("m", "n"), (0, 0), "rect",
+        lambda m, n: ((m + 2, n + 2), (1,)), rect_minus_corner_ratio,
     ),
     Family(
-        "square-minus-two", ("n",), "rect",
-        square_minus_two_region, conjecture_square_minus_two_ratio,
-        match=_square_minus_two_match,
+        "square-minus-two", ("n",), (2,), "rect",
+        lambda n: ((n, n), (2,)), conjecture_square_minus_two_ratio,
+        propose=lambda d: (d.n,),
         conjectural=True,
     ),
 )}

@@ -86,6 +86,7 @@ SCAN_EDGES = [
     ("scan", "--family", "rect-sq+1", "--m", "0", "--n", "0", "--k", "0"),
     ("scan", "--family", "stair-corner", "--m", "-1"),
     ("scan", "--family", "square-minus-two", "--n", "1..3"),
+    ("scan", "--family", "rect-sq", "--m", "-1", "--n", "0", "--k", "2"),
     ("scan", "--family", "stair-corner", "--m", "3..2"),
     ("scan", "--family", "square-minus-two", "--n", "3..2"),
     ("scan", "--family", "stair-trunc", "--m", "3", "--kappa", "3"),

@@ -463,15 +463,16 @@ def reference_is_valid_tableau(t: Tableau) -> bool:
     """The per-column check that ``is_valid_tableau`` replaced: sort each
     column's labels by row and compare neighbours."""
     n = t.size
-    seen = sorted(lbl for _, lbl in t.labels())
+    seen = sorted(lbl for row in t.rows for lbl in row)
     if seen != list(range(1, n + 1)):
         raise LabelSetMismatch(f"labels are not 1..{n}")
     for row in t.rows:
         if any(a >= b for a, b in zip(row, row[1:])):
             return False
     columns: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), lbl in t.labels():
-        columns.setdefault(c, []).append((r, lbl))
+    for r, ((s, _), row) in enumerate(zip(t.region.rows, t.rows), start=1):
+        for c, lbl in enumerate(row, start=s):
+            columns.setdefault(c, []).append((r, lbl))
     for entries in columns.values():
         entries.sort()
         if any(l1 >= l2 for (_, l1), (_, l2) in zip(entries, entries[1:])):

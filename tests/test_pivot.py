@@ -759,6 +759,17 @@ class TestPlanCaches:
             first = split_pivot(t, cell)
             assert split_pivot(t, cell) == first == reference_split_pivot(t, cell)
 
+    def test_an_outline_that_is_no_region_is_planned_once(self):
+        # at thresholds 3 and 11 a piece of PERMUTED has a gap in a column
+        for thresh in (3, 11):
+            outcome(split_threshold, self.PERMUTED, thresh)
+        misses = _piece_plan.cache_info().misses
+        for thresh in (3, 11):
+            got = outcome(split_threshold, self.PERMUTED, thresh)
+            assert got == (ShapeError, "column 1 is not contiguous"), thresh
+            assert got == outcome(reference_split_threshold, self.PERMUTED, thresh), thresh
+        assert _piece_plan.cache_info().misses == misses
+
     def test_raise_is_fresh_each_time(self):
         seen = []
         for _ in range(2):

@@ -272,6 +272,7 @@ class TestFamilyTable:
         for name, family in FAMILIES.items():
             assert family.name == name
             assert len(family.params) == len(LEAST[name])
+            assert family.least == LEAST[name]
             assert family.geometry == ("stair" if name.startswith("stair") else "rect")
         conjectural = [f.name for f in FAMILIES.values() if f.conjectural]
         assert conjectural == ["square-minus-two"]
@@ -367,9 +368,9 @@ class TestFamilyTable:
             stair_minus_square_region(-1, 2)
         with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
             stair_minus_square_plus1_region(-1, 1)
-        with pytest.raises(ValueError, match=r"need m, n >= 0, got m=-1, n=0"):
+        with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
             rect_minus_square_plus1_region(-1, 0, 1)
-        with pytest.raises(ValueError, match=r"need m, n >= 0, got m=0, n=-1"):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
             rect_minus_square_region(0, -1, 2)
 
     def test_sq_prefix_is_none_where_sq_plus1_owns_it(self):
@@ -377,7 +378,7 @@ class TestFamilyTable:
         assert stair_sq_mu(3, 1) == FAMILIES["stair-sq+1"].mu(3, 1)
         assert FAMILIES["rect-sq"].mu(2, 2, 1) is None
         assert FAMILIES["stair-corner"].mu is None
-        assert FAMILIES["rect-corner"].match is None
+        assert FAMILIES["rect-corner"].propose is None
 
     def test_matchers_claim_only_what_they_count(self):
         """Every stair:/rect: descriptor that a matcher claims is counted
@@ -406,7 +407,26 @@ class TestFamilyTable:
             assert conjectural == FAMILIES[name].conjectural
             assert ratio.to_integer() == count_syt(region), text
             assert desc.size == region.size, text
-        assert claimed == {name for name, f in FAMILIES.items() if f.match}
+        assert claimed == {name for name, f in FAMILIES.items() if f.propose}
+
+    @pytest.mark.parametrize("name", [n for n, f in FAMILIES.items() if f.propose])
+    def test_matchers_claim_every_member(self, name):
+        """Each member with a truncation is counted by its own family, at
+        its own parameters."""
+        family = FAMILIES[name]
+        seen = 0
+        for params in members(family):
+            sides, kappa = family.shape(*params)
+            if not kappa:
+                continue
+            text = f"{family.geometry}:{'x'.join(map(str, sides))}/{','.join(map(str, kappa))}"
+            desc = parse_descriptor(text)
+            hit = formula_count(desc)
+            assert hit is not None and hit[0] == name, text
+            assert family.match(desc) == params, text
+            assert hit[1] == family.ratio(*params), text
+            seen += 1
+        assert seen >= 4
 
 
 def split_histograms(family, params):
