@@ -1,10 +1,12 @@
 """Exact integer arithmetic: factorials as prime-exponent vectors, integer
 factorization, and smoothness tests.
 
-Ratios of factorials are never evaluated through division.  Prime exponents
-are accumulated with Legendre's formula, summed inline per prime, and a
-result is converted to an integer only at the end; a negative exponent at
-that point raises :class:`NotAnInteger` instead of silently rounding.
+A ratio of factorials is kept as prime exponents, accumulated with
+Legendre's formula and summed inline per prime, and converted to an
+integer only at the end; a negative exponent at that point raises
+:class:`NotAnInteger` instead of silently rounding.  A quotient whose two
+sides are small enough to multiply out is divided by :func:`exact_quotient`,
+which raises the same error on a nonzero remainder.
 Integer factors arrive as a multiset ``{k: count}`` (the many repeated
 differences of a Frobenius-Young or Schur product are counted in bulk by
 the caller), so each distinct integer is factored once.
@@ -217,6 +219,15 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def exact_quotient(num: int, den: int) -> int:
+    """``num / den`` for a ``den`` that divides ``num``; a nonzero remainder
+    raises :class:`NotAnInteger` instead of rounding."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise NotAnInteger(f"{num} / {den} leaves remainder {remainder}")
+    return quotient
 
 
 def _merge(

@@ -386,7 +386,7 @@ def _scan_records(args) -> list[dict]:
         names, region_of = _ORACLE_SCANS[args.family]
         kappa = Partition(args.kappa or ())
     else:
-        names, region_of = family.params, family.region
+        names = family.params
     axes = [_option(args, name, f"family {args.family!r}") for name in names]
     records = []
     for values in _grid(axes):
@@ -397,8 +397,9 @@ def _scan_records(args) -> list[dict]:
             params["kappa"] = list(kappa.parts)
             count = Count("oracle", region.size, count_syt(region))
         else:
-            cells, ratio = region_of(*values).size, family.ratio(*values)
-            count = Count(family.name, cells, ratio.to_integer(), ratio, family.conjectural)
+            ratio = family.ratio(*values)  # checks the range first
+            count = Count(family.name, family.cells(*values), ratio.to_integer(), ratio,
+                          family.conjectural)
         fac, smooth = _factored(count)
         fields = (args.family, params, count.cells, _decimal(count.value),
                   fac.largest_prime, smooth)

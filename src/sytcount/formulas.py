@@ -1,21 +1,26 @@
 """Product formulas for tableau counts and the coefficients of the
 pair-splitting identities.
 
-Every formula is evaluated as a :class:`FactoredRatio` and converted to an
-integer at the end, so a wrong (non-integral) evaluation fails loudly
-instead of rounding.  The Frobenius-Young and Schur products count their
-pairwise differences and sums in bulk and hand the multisets to
-:func:`factorial_ratio`.
+Every formula is evaluated exactly, so a wrong (non-integral) evaluation
+fails loudly instead of rounding.  The Frobenius-Young and Schur products
+are each written once, as ``n!`` times pairwise factors over factorials.
+Their ``*_ratio`` forms count the pairwise factors in bulk and hand the
+multisets to :func:`factorial_ratio`.  Their integer counts, for shapes
+up to ``_EXACT_DIVISION_SIZE``, multiply both sides out and divide with
+:func:`exact_quotient`, which raises :class:`NotAnInteger` on a remainder;
+larger shapes convert the factored ratio.  Every other formula is a
+:class:`FactoredRatio` converted to an integer at the end.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, starmap
+from math import factorial, perm, prod
 from operator import add, sub
 from typing import Iterator
 
-from .arith import FactoredRatio, binomial, factorial_ratio
+from .arith import FactoredRatio, binomial, exact_quotient, factorial_ratio
 from .shapes import (
     Partition,
     PartitionLike,
@@ -55,8 +60,17 @@ def _rect_prefix(mu: PartitionLike, k: int) -> Partition:
     return mu
 
 
-def frobenius_young_ratio(lam: PartitionLike) -> FactoredRatio:
-    """Count of standard tableaux of an ordinary shape, in factored form.
+# The Frobenius-Young and Schur counts are one exact integer division while
+# the cells plus the square of the number of parts (about the pairwise
+# factors multiplied out) is at most this size; past it, the multiplied-out
+# sides outgrow the count so far that building the factored ratio is
+# faster.  Chosen from both paths timed on a grid of cells x parts.
+_EXACT_DIVISION_SIZE = 1200
+
+
+def _frobenius_young_terms(lam: PartitionLike) -> tuple:
+    """``(n, bottoms, ups, downs)`` with the Frobenius-Young count equal to
+    ``n! * prod(ups) / (prod(b! for b in bottoms) * prod(downs))``.
 
     ``|lam|! / prod((lam_i + m - i)!) * prod_{i<j}(lam_i - lam_j - i + j)``
     over the ``m`` parts of ``lam``; stable under trailing zeros.
@@ -65,27 +79,57 @@ def frobenius_young_ratio(lam: PartitionLike) -> FactoredRatio:
     m = len(lam.parts)
     # lam_i - lam_j - i + j is the difference of the first-column hooks.
     hooks = list(map(add, lam.parts, range(m - 1, -1, -1)))
-    return factorial_ratio([lam.size], hooks, Counter(starmap(sub, combinations(hooks, 2))))
+    return lam.size, hooks, starmap(sub, combinations(hooks, 2)), ()
+
+
+def _schur_terms(lam: PartitionLike) -> tuple:
+    """``(n, bottoms, ups, downs)`` as for :func:`_frobenius_young_terms`:
+    ``|lam|! / prod(lam_i!) * prod_{i<j}(lam_i - lam_j)/(lam_i + lam_j)``.
+    """
+    parts = coerce_strict(lam).parts
+    return (sum(parts), parts, starmap(sub, combinations(parts, 2)),
+            starmap(add, combinations(parts, 2)))
+
+
+def _as_ratio(n: int, bottoms, ups, downs) -> FactoredRatio:
+    powers = Counter(ups)
+    powers.subtract(Counter(downs))
+    return factorial_ratio([n], bottoms, powers)
+
+
+def _as_count(n: int, bottoms, ups, downs) -> int:
+    if n + len(bottoms) ** 2 > _EXACT_DIVISION_SIZE:
+        return _as_ratio(n, bottoms, ups, downs).to_integer()
+    # n! over the first (largest) bottom factorial is a falling factorial;
+    # min(n, top) keeps it exact should a wrong formula put top above n.
+    top = bottoms[0] if bottoms else 0
+    low = min(n, top)
+    return exact_quotient(
+        perm(n, n - low) * prod(ups),
+        perm(top, top - low) * prod(map(factorial, bottoms[1:])) * prod(downs),
+    )
+
+
+def frobenius_young_ratio(lam: PartitionLike) -> FactoredRatio:
+    """Count of standard tableaux of an ordinary shape, in factored form
+    (see :func:`_frobenius_young_terms`)."""
+    return _as_ratio(*_frobenius_young_terms(lam))
 
 
 def frobenius_young(lam: PartitionLike) -> int:
-    return frobenius_young_ratio(lam).to_integer()
+    """Count of standard tableaux of an ordinary shape."""
+    return _as_count(*_frobenius_young_terms(lam))
 
 
 def schur_ratio(lam: PartitionLike) -> FactoredRatio:
-    """Count of standard tableaux of a shifted shape, in factored form.
-
-    ``|lam|! / prod(lam_i!) * prod_{i<j}(lam_i - lam_j)/(lam_i + lam_j)``.
-    """
-    lam = coerce_strict(lam)
-    parts = lam.parts
-    powers = Counter(starmap(sub, combinations(parts, 2)))
-    powers.subtract(Counter(starmap(add, combinations(parts, 2))))
-    return factorial_ratio([lam.size], parts, powers)
+    """Count of standard tableaux of a shifted shape, in factored form
+    (see :func:`_schur_terms`)."""
+    return _as_ratio(*_schur_terms(lam))
 
 
 def schur_count(lam: PartitionLike) -> int:
-    return schur_ratio(lam).to_integer()
+    """Count of standard tableaux of a shifted shape."""
+    return _as_count(*_schur_terms(lam))
 
 
 def staircase_ratio(m: int) -> FactoredRatio:

@@ -502,6 +502,15 @@ def rotate180(region: CellRegion) -> CellRegion:
     return CellRegion(rows, extra, "general")
 
 
+def outline_size(geometry: str, sides: Sequence[int], kappa: Sequence[int]) -> int:
+    """Cells of the ``stair`` of order ``sides[0]`` or the ``rect`` with
+    ``sides``, less the ``kappa`` cut from it; read off the outline alone,
+    for a truncation that fits."""
+    m = sides[0]
+    full = m * (m + 1) // 2 if geometry == "stair" else m * sides[1]
+    return full - sum(kappa)
+
+
 @dataclass(frozen=True)
 class ShapeDescriptor:
     """Parsed form of a shape descriptor string."""
@@ -518,8 +527,7 @@ class ShapeDescriptor:
         """Cell count read off the descriptor, for a valid one."""
         if self.lam is not None:
             return self.lam.size
-        full = self.m * (self.m + 1) // 2 if self.family == "stair" else self.m * self.n
-        return full - self.kappa.size
+        return outline_size(self.family, (self.m, self.n), self.kappa.parts)
 
     def region(self) -> CellRegion:
         if self.family == "part":

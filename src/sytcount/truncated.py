@@ -31,6 +31,7 @@ from .shapes import (
     PartitionLike,
     ShapeDescriptor,
     StrictPartition,
+    outline_size,
     staircase,
     truncated_rectangle_region,
     truncated_staircase_region,
@@ -300,12 +301,12 @@ class Family:
     A member is named by the parameters in ``params``, each at least its
     value in ``least``; ``shape`` maps them to the sides and truncation of
     the member's descriptor, and ``ratio`` counts its tableaux.  ``check``,
-    ``region`` and ``match`` are derived from these.  ``propose(desc)``
-    reads the parameters a descriptor would have as a member, which
-    ``match`` takes only when ``shape`` gives that descriptor back; a family
-    without it leaves its members to another.  The square families also
-    give the prefix ``mu`` of their summation theorem (None where another
-    family owns it) and the ``pivot`` cell.
+    ``cells``, ``region`` and ``match`` are derived from these.
+    ``propose(desc)`` reads the parameters a descriptor would have as a
+    member, which ``match`` takes only when ``shape`` gives that descriptor
+    back; a family without it leaves its members to another.  The square
+    families also give the prefix ``mu`` of their summation theorem (None
+    where another family owns it) and the ``pivot`` cell.
     """
 
     name: str
@@ -332,6 +333,11 @@ class Family:
         if self.geometry == "stair":
             return truncated_staircase_region(*sides, kappa)
         return truncated_rectangle_region(*sides, kappa)
+
+    def cells(self, *values: int) -> int:
+        """Cells of the member, read off ``shape`` without building its
+        region; the range is not checked."""
+        return outline_size(self.geometry, *self.shape(*values))
 
     def match(self, desc: ShapeDescriptor) -> tuple[int, ...] | None:
         """The parameters of the member that ``desc`` names, or None."""

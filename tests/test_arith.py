@@ -11,6 +11,7 @@ from sytcount.arith import (
     Factorization,
     NotAnInteger,
     binomial,
+    exact_quotient,
     factorial_ratio,
     factorize,
     is_probable_prime,
@@ -94,6 +95,14 @@ class TestIntegerHelpers:
         assert binomial(5, -1) == 0
         with pytest.raises(ValueError):
             binomial(-1, 0)
+
+    def test_exact_quotient(self):
+        assert exact_quotient(1001, 13) == 77
+        assert exact_quotient(0, 5) == 0
+        assert exact_quotient(math.factorial(30), math.factorial(29)) == 30
+        with pytest.raises(NotAnInteger) as err:
+            exact_quotient(1000, 37)
+        assert "1000" in str(err.value) and "37" in str(err.value)
 
 
 class TestFactoredRatio:

@@ -11,8 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sytcount import formulas
+from sytcount.arith import NotAnInteger, exact_quotient
 from sytcount.count import count_syt
 from sytcount.formulas import (
+    _EXACT_DIVISION_SIZE,
     PartTooSmall,
     binomial_convolution_lhs,
     coeff_c,
@@ -126,6 +129,99 @@ class TestShiftedFormula:
         assert schur_count((2, 1)) == 1
         assert schur_count((4, 2, 1)) == 7
         assert schur_ratio((5, 3)).to_integer() == 14
+
+
+def division_size(lam):
+    """What the crossover between the two count paths is measured in: the
+    cells plus the square of the number of nonzero parts."""
+    return sum(lam) + sum(1 for p in lam if p) ** 2
+
+
+def near_the_crossover():
+    """Ordinary shapes of 3 parts and shifted shapes of 5, from three cells
+    below the crossover to three above."""
+    for d in range(-3, 4):
+        cells = _EXACT_DIVISION_SIZE - 9 + d
+        yield Partition((cells - 2 * (cells // 5), cells // 5, cells // 5))
+        cells = _EXACT_DIVISION_SIZE - 25 + d
+        yield StrictPartition((cells - 10, 4, 3, 2, 1))
+
+
+# Up to 45 parts of up to 60 (ordinary) or 120 (shifted) cells: both sides
+# of the crossover.  The ordinary shapes keep their trailing zeros.
+ordinary_shapes = st.lists(st.integers(0, 60), max_size=45).map(
+    lambda xs: tuple(sorted(xs, reverse=True))
+)
+shifted_shapes = st.sets(st.integers(1, 120), max_size=45).map(
+    lambda xs: StrictPartition(tuple(sorted(xs, reverse=True)))
+)
+
+
+class TestExactDivision:
+    """The integer counts against the factored ratios they short-cut."""
+
+    def count_of(self, lam):
+        if isinstance(lam, StrictPartition):
+            return schur_count(lam), schur_ratio(lam).to_integer()
+        return frobenius_young(lam), frobenius_young_ratio(lam).to_integer()
+
+    @given(ordinary_shapes)
+    def test_ordinary_paths_agree(self, lam):
+        got, want = self.count_of(lam)
+        assert got == want
+
+    @given(shifted_shapes)
+    def test_shifted_paths_agree(self, lam):
+        got, want = self.count_of(lam)
+        assert got == want
+
+    @pytest.mark.parametrize("lam", list(near_the_crossover()), ids=str)
+    def test_paths_agree_near_the_crossover(self, lam):
+        assert abs(division_size(lam.parts) - _EXACT_DIVISION_SIZE) <= 3
+        got, want = self.count_of(lam)
+        assert got == want
+
+    def test_the_crossover_picks_the_path(self, monkeypatch):
+        divided = []
+
+        def spy(num, den):
+            divided.append(num)
+            return exact_quotient(num, den)
+
+        monkeypatch.setattr(formulas, "exact_quotient", spy)
+        for lam in near_the_crossover():
+            divided.clear()
+            self.count_of(lam)
+            below = division_size(lam.parts) <= _EXACT_DIVISION_SIZE
+            assert len(divided) == below, lam
+
+    @pytest.mark.parametrize("lam", [(), (0,), (0, 0), (3, 1, 0, 0), (5, 0)])
+    def test_empty_and_trailing_zeros(self, lam):
+        assert frobenius_young(lam) == frobenius_young_ratio(lam).to_integer()
+        assert frobenius_young(lam) == frobenius_young(tuple(p for p in lam if p))
+
+    @pytest.mark.parametrize("lam", [(), (0,), (5, 3, 0), (4, 2, 1, 0, 0)])
+    def test_shifted_empty_and_trailing_zeros(self, lam):
+        assert schur_count(lam) == schur_ratio(lam).to_integer()
+        assert schur_count(lam) == schur_count(tuple(p for p in lam if p))
+
+    @given(ordinary_shapes)
+    def test_conjugation(self, lam):
+        lam = Partition(lam)
+        assert frobenius_young(lam) == frobenius_young(lam.conjugate())
+
+    @pytest.mark.parametrize("lam", [(2, 1), (6, 5, 5, 3, 2, 1), (1250, 1), (1300,)])
+    def test_a_wrong_formula_raises_on_both_paths(self, monkeypatch, lam):
+        # the first two shapes lie below the crossover, the last two above
+        right = formulas._frobenius_young_terms
+
+        def hooks_off_by_one(lam):
+            n, hooks, ups, downs = right(lam)
+            return n, [h + 1 for h in hooks], ups, downs
+
+        monkeypatch.setattr(formulas, "_frobenius_young_terms", hooks_off_by_one)
+        with pytest.raises(NotAnInteger):
+            frobenius_young(lam)
 
 
 class TestStaircaseFormula:

@@ -294,6 +294,15 @@ class TestFamilyTable:
             region = family.region(*params)
             assert family.ratio(*params).to_integer() == count_syt(region), params
 
+    @pytest.mark.parametrize("name", list(LEAST))
+    def test_cells_are_the_region_size(self, name):
+        family = FAMILIES[name]
+        seen_n0 = False
+        for params in members(family, cap=60, top=60):
+            assert family.cells(*params) == family.region(*params).size, params
+            seen_n0 |= name == "rect-sq+1" and params[1] == 0 and params[2] > 1
+        assert seen_n0 == (name == "rect-sq+1")
+
     @pytest.mark.parametrize("name", ["rect-sq", "rect-sq+1", "rect-corner"])
     def test_symmetric_in_m_and_n(self, name):
         family = FAMILIES[name]
