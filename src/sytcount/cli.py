@@ -40,6 +40,7 @@ from .shapes import (
     ShapeDescriptor,
     ShapeError,
     StrictPartition,
+    outline_size,
     parse_descriptor,
     truncated_rectangle_region,
     truncated_staircase_region,
@@ -47,7 +48,6 @@ from .shapes import (
 from .truncated import (
     FAMILIES,
     conjecture_square_minus_two,
-    square_minus_two_region,
     theorem_rect_sum,
     theorem_rect_sum_direct,
     theorem_staircase_sum,
@@ -271,8 +271,10 @@ def _verify_pivot(label: str, report) -> int:
 
 
 def _verify_conjecture(label: str, n: int) -> int:
-    region = square_minus_two_region(n)
-    _check_budget(region.size)
+    family = FAMILIES["square-minus-two"]
+    family.check(n)
+    _check_budget(family.cells(n))
+    region = family.region(n)
     print("CONJECTURE: the closed form below is unproved")
     return _print_check(label, count_syt(region), conjecture_square_minus_two(n))
 
@@ -358,10 +360,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # Scan families that count a given truncation ``--kappa`` by the oracle:
-# (parameter names, region builder).  The others are the family table.
+# (outline, parameter names, region builder).  The others are the family table.
 _ORACLE_SCANS = {
-    "stair-trunc": (("m",), truncated_staircase_region),
-    "rect-trunc": (("m", "n"), truncated_rectangle_region),
+    "stair-trunc": ("stair", ("m",), truncated_staircase_region),
+    "rect-trunc": ("rect", ("m", "n"), truncated_rectangle_region),
 }
 _SCAN_FAMILIES = [*FAMILIES, *_ORACLE_SCANS]
 _SCAN_FIELDS = ("family", "params", "N", "count", "largest_prime", "n_smooth")
@@ -383,7 +385,7 @@ def _scan_records(args) -> list[dict]:
     """One record of ``_SCAN_FIELDS`` per row of the scan."""
     family = FAMILIES.get(args.family)
     if family is None:
-        names, region_of = _ORACLE_SCANS[args.family]
+        geometry, names, region_of = _ORACLE_SCANS[args.family]
         kappa = Partition(args.kappa or ())
     else:
         names = family.params
@@ -392,8 +394,9 @@ def _scan_records(args) -> list[dict]:
     for values in _grid(axes):
         params = dict(zip(names, values))
         if family is None:
+            if min(values) >= 0:  # negative sides get the builder's message
+                _check_budget(outline_size(geometry, values, kappa.parts))
             region = region_of(*values, kappa)
-            _check_budget(region.size)
             params["kappa"] = list(kappa.parts)
             count = Count("oracle", region.size, count_syt(region))
         else:

@@ -9,9 +9,10 @@ them, which stays small (it is the set of order ideals) even when the
 number of fillings is astronomically large.
 
 When one boundary row of the region is long and loosely tied to its
-neighbour, the line kernel turns the region so that row comes last and
-sweeps only the ideals of the other rows, each carrying one int packed with
-a count per filled prefix of the last row.  Enumeration and the DFS
+neighbour, the line kernel turns the region, by the orientation maps of
+``shapes``, so that row comes last and sweeps only the ideals of the other
+rows, each carrying one int packed with a count per filled prefix of the
+last row.  Enumeration and the DFS
 cross-check share one backtracking walker, independent of both sweeps.
 """
 
@@ -22,7 +23,7 @@ from math import factorial, inf, prod
 from operator import lt
 from typing import Iterator
 
-from .shapes import CellRegion, Tableau
+from .shapes import CellRegion, Tableau, _oriented_pairs, _transposed_rows, _turned_rows
 
 
 class LabelSetMismatch(ValueError):
@@ -123,24 +124,6 @@ def _ideal_counts(rows, limit) -> tuple[int, int] | None:
     return above, tail[0]
 
 
-def _transposed_rows(rows, ncols):
-    """Row intervals of the transposed region, or None when a column in
-    1..``ncols`` is empty, since the transpose would have an empty row."""
-    first, last = [0] * (ncols + 1), [0] * (ncols + 1)
-    for r, (s, e) in enumerate(rows, start=1):
-        last[s : e + 1] = [r] * (e - s + 1)
-    for r, (s, e) in reversed(list(enumerate(rows, start=1))):
-        first[s : e + 1] = [r] * (e - s + 1)
-    if 0 in first[1:]:
-        return None
-    return tuple(zip(first[1:], last[1:]))
-
-
-def _turned_rows(rows, ncols):
-    """Row intervals after a half-turn inside columns 1..``ncols``."""
-    return tuple((ncols + 1 - e, ncols + 1 - s) for s, e in reversed(rows))
-
-
 def _line_region(region: CellRegion):
     """The rows and extra precedences of the orientation of ``region`` the
     line kernel should sweep, or None when the plain sweep should count it.
@@ -170,13 +153,7 @@ def _line_region(region: CellRegion):
     s, e = new_rows[-1]
     if total < _LINE_CROSSOVER * above or len(new_rows) < 2 or s == e:
         return None
-    pairs = region.extra_precedences
-    if transpose:
-        pairs = [((sc, sr), (dc, dr)) for (sr, sc), (dr, dc) in pairs]
-    if turn:  # inside the bounding box of the rows before the turn
-        nrows, width = (ncols, len(rows)) if transpose else (len(rows), ncols)
-        pairs = [((nrows + 1 - dr, width + 1 - dc), (nrows + 1 - sr, width + 1 - sc))
-                 for (sr, sc), (dr, dc) in pairs]
+    pairs = _oriented_pairs(region.extra_precedences, len(rows), ncols, transpose, turn)
     if any(src[0] == len(new_rows) for src, _ in pairs):
         return None
     return new_rows, pairs

@@ -152,13 +152,14 @@ def staircase_count(m: int) -> int:
 def rectangle_ratio(m: int, n: int) -> FactoredRatio:
     """Tableau count of the full ``m x n`` rectangle.
 
-    ``(mn)! * F_m * F_n / F_{m+n}`` with ``F_k = 0! 1! ... (k-1)!``.
+    ``(mn)! * F_m * F_n / F_{m+n}`` with ``F_k = 0! 1! ... (k-1)!``.  With
+    ``a <= b`` the sides, ``F_b`` cancels first and leaves
+    ``F_a / (b! ... (a+b-1)!)``, ``O(a)`` factorials for any ``b``.
     """
     if m < 0 or n < 0:
         raise ValueError(f"rectangle sides must be nonnegative: {m}x{n}")
-    return factorial_ratio(
-        [m * n] + list(range(m)) + list(range(n)), list(range(m + n))
-    )
+    a, b = sorted((m, n))
+    return factorial_ratio([m * n, *range(a)], range(b, a + b))
 
 
 def rectangle_count(m: int, n: int) -> int:

@@ -3,9 +3,10 @@
 A split cuts a tableau into the cells holding labels up to a threshold and
 the rest.  The low piece keeps its labels and positions.  The high piece is
 renumbered ``label -> N - label + 1`` and reflected across the
-anti-diagonal of the bounding box, which turns its reversed order back
-into row/column growth; the result is translated to standard position and
-classified as an ordinary, shifted, or general region.
+anti-diagonal of the bounding box (the transpose and then the half-turn of
+``shapes``), which turns its reversed order back into row/column growth;
+the result is translated to standard position and classified as an
+ordinary, shifted, or general region.
 
 Splits work on flat label lists laid out by the region's order table
 (``CellRegion.order``): the low piece reads the labels in row-major order,
@@ -48,6 +49,7 @@ from .shapes import (
     StrictPartition,
     Tableau,
     _gather,
+    _oriented_pairs,
     ordinary_region,
     shifted_region,
 )
@@ -146,19 +148,16 @@ def _layout(region: CellRegion) -> _Layout:
     nrows, ncols = region.num_rows, region.max_col
     # the place of each row-major position in the reflection order
     at = {i: j for j, i in enumerate(order.reflect(range(region.size)))}
-
-    def reflect(cell: Cell) -> Cell:
-        r, c = cell
-        return (ncols + 1 - c, nrows + 1 - r)
-
-    pairs = [(order.index[a], order.index[b], a, b) for a, b in region.extra_precedences]
+    extra = list(region.extra_precedences)
+    pairs = [(order.index[a], order.index[b], a, b) for a, b in extra]
+    reflected = _oriented_pairs(extra, nrows, ncols, transpose=True, turn=True)
     return _Layout(
         region,
         _threshold_flavor(region),
         (order.rows, tuple(pairs)),
         (
             _reflected_segments(order, nrows, ncols),
-            tuple((at[j], at[i], reflect(b), reflect(a)) for i, j, a, b in pairs),
+            tuple((at[j], at[i], *pair) for (i, j, _, _), pair in zip(pairs, reflected)),
         ),
     )
 

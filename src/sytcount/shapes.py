@@ -5,7 +5,9 @@ the top, columns growing to the right.  A :class:`CellRegion` records one
 contiguous column interval per row plus a set of explicit precedence pairs
 for order constraints that row/column adjacency alone does not capture
 (the main diagonal of shifted shapes, where a row of length one would
-otherwise disconnect consecutive diagonal cells).
+otherwise disconnect consecutive diagonal cells).  The half-turn and the
+transpose of row intervals and of precedence pairs are written here once,
+for ``rotate180``, the line kernel in ``count`` and the splits in ``pivot``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Cell = tuple[int, int]
 Interval = tuple[int, int]
@@ -88,14 +90,8 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: column lengths become parts."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(
-                sum(1 for p in self.parts if p >= c)
-                for c in range(1, self.parts[0] + 1)
-            )
-        )
+        columns = _transposed_rows([(1, p) for p in self.parts], self.part(1))
+        return Partition(tuple(e for _, e in columns))
 
 
 @dataclass(frozen=True)
@@ -481,6 +477,38 @@ def truncated_rectangle_region(
     return CellRegion(rows, frozenset(), "truncated_rectangle")
 
 
+def _turned_rows(rows: Sequence[Interval], ncols: int) -> tuple[Interval, ...]:
+    """Row intervals after a half-turn inside columns 1..``ncols``."""
+    return tuple((ncols + 1 - e, ncols + 1 - s) for s, e in reversed(rows))
+
+
+def _transposed_rows(rows: Sequence[Interval], ncols: int) -> tuple[Interval, ...] | None:
+    """Row intervals of the transpose, or None when a column in 1..``ncols``
+    is empty, since the transpose would have an empty row."""
+    first, last = [0] * (ncols + 1), [0] * (ncols + 1)
+    for r, (s, e) in enumerate(rows, start=1):
+        last[s : e + 1] = [r] * (e - s + 1)
+    for r, (s, e) in reversed(list(enumerate(rows, start=1))):
+        first[s : e + 1] = [r] * (e - s + 1)
+    return None if 0 in first[1:] else tuple(zip(first[1:], last[1:]))
+
+
+def _oriented_pairs(
+    pairs: Iterable[Precedence], nrows: int, ncols: int, transpose: bool = False, turn: bool = False
+) -> Iterable[Precedence]:
+    """The precedence pairs of a region in rows 1..``nrows`` and columns
+    1..``ncols``, in the order given, after the transpose and then the
+    half-turn inside the bounding box, each where asked for; the turn
+    reverses each pair.  ``pairs`` itself when neither is asked for."""
+    if transpose:
+        pairs = [((sc, sr), (dc, dr)) for (sr, sc), (dr, dc) in pairs]
+        nrows, ncols = ncols, nrows
+    if turn:
+        pairs = [((nrows + 1 - dr, ncols + 1 - dc), (nrows + 1 - sr, ncols + 1 - sc))
+                 for (sr, sc), (dr, dc) in pairs]
+    return pairs
+
+
 def rotate180(region: CellRegion) -> CellRegion:
     """Half-turn of the region inside its bounding box.
 
@@ -489,17 +517,8 @@ def rotate180(region: CellRegion) -> CellRegion:
     bijection on fillings.
     """
     nrows, ncols = region.num_rows, region.max_col
-    rows = tuple(
-        (ncols + 1 - e, ncols + 1 - s) for s, e in reversed(region.rows)
-    )
-
-    def flip(cell: Cell) -> Cell:
-        return (nrows + 1 - cell[0], ncols + 1 - cell[1])
-
-    extra = frozenset(
-        (flip(dst), flip(src)) for src, dst in region.extra_precedences
-    )
-    return CellRegion(rows, extra, "general")
+    pairs = _oriented_pairs(region.extra_precedences, nrows, ncols, turn=True)
+    return CellRegion(_turned_rows(region.rows, ncols), pairs, "general")
 
 
 def outline_size(geometry: str, sides: Sequence[int], kappa: Sequence[int]) -> int:

@@ -15,7 +15,7 @@ from sytcount.cli import (
 )
 from sytcount.count import count_syt
 from sytcount.formulas import rectangle_count, staircase_count
-from sytcount.shapes import ShapeDescriptor, ShapeError, parse_descriptor
+from sytcount.shapes import CellRegion, ShapeDescriptor, ShapeError, parse_descriptor
 from sytcount.truncated import FAMILIES
 
 
@@ -500,6 +500,21 @@ class TestBudget:
         monkeypatch.delenv(ORACLE_LIMIT_ENV, raising=False)
         code, _, err = run(capsys, "scan", "--family", "stair-trunc", "--m", "10")
         assert code == 2 and "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("scan", "--family", "rect-trunc", "--m", "1", "--n", "1000000"),
+         ("scan", "--family", "stair-trunc", "--m", "10", "--kappa", "1"),
+         ("verify", "conjecture", "--n", "8")],
+    )
+    def test_budget_is_checked_before_any_region_is_built(self, capsys, monkeypatch, argv):
+        def refuse(region):
+            raise AssertionError("a region was built")
+
+        monkeypatch.setenv(ORACLE_LIMIT_ENV, "20")
+        monkeypatch.setattr(CellRegion, "__post_init__", refuse)
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "exceeds the budget of 20" in err
 
     def test_scan_within_raised_budget(self, capsys, monkeypatch):
         monkeypatch.setenv(ORACLE_LIMIT_ENV, "60")

@@ -12,7 +12,6 @@ from sytcount.count import (
     _line,
     _line_region,
     _sweep,
-    _transposed_rows,
     count_syt,
     count_syt_dfs,
     enumerate_syt,
@@ -24,6 +23,9 @@ from sytcount.shapes import (
     Partition,
     StrictPartition,
     Tableau,
+    _oriented_pairs,
+    _transposed_rows,
+    _turned_rows,
     build_region,
     ordinary_region,
     partitions_in_box,
@@ -287,14 +289,43 @@ def transpose(region):
     return CellRegion(rows, pairs)
 
 
+def half_turn(region):
+    """The region turned by a half-turn inside its bounding box, built cell
+    by cell; each extra precedence reverses."""
+    nrows, ncols = region.num_rows, region.max_col
+
+    def turn(cell):
+        return (nrows + 1 - cell[0], ncols + 1 - cell[1])
+
+    by_row: dict[int, list[int]] = {}
+    for r, c in map(turn, region.cells()):
+        by_row.setdefault(r, []).append(c)
+    rows = tuple((min(by_row[r]), max(by_row[r])) for r in sorted(by_row))
+    pairs = frozenset((turn(b), turn(a)) for a, b in region.extra_precedences)
+    return CellRegion(rows, pairs)
+
+
 def orientations(region):
     """The region as it is, turned, transposed, and transposed then turned;
     the last two only when the region can be transposed."""
-    found = [region, rotate180(region)]
+    found = [region, half_turn(region)]
     flipped = transpose(region)
     if flipped is not None:
-        found += [flipped, rotate180(flipped)]
+        found += [flipped, half_turn(flipped)]
     return found
+
+
+def shared_orientations(region):
+    """The rows and pairs of ``orientations(region)``, in its order, by the
+    maps in ``shapes``."""
+    rows, pairs = region.rows, region.extra_precedences
+    nrows, ncols = region.num_rows, region.max_col
+    found = [(rows, False, False), (_turned_rows(rows, ncols), False, True)]
+    flipped = _transposed_rows(rows, ncols)
+    if flipped is not None:
+        found += [(flipped, True, False), (_turned_rows(flipped, nrows), True, True)]
+    return [(new_rows, frozenset(_oriented_pairs(pairs, nrows, ncols, *flags)))
+            for new_rows, *flags in found]
 
 
 def line_kernel_applies(region):
@@ -306,6 +337,9 @@ def line_kernel_applies(region):
 # Two rows with (1, 2) before (1, 1): no standard filling, and the line
 # kernel may sweep it, since no precedence leaves the last row.
 NO_FILLING = CellRegion(((1, 2), (1, 3)), frozenset({((1, 2), (1, 1))}))
+
+# Column 2 is empty: a column of six cells, then one cell apart.
+GAP_COLUMN = CellRegion(((1, 1),) * 6 + ((3, 3),))
 
 
 class TestLineKernel:
@@ -330,14 +364,33 @@ class TestLineKernel:
         expected = None if flipped is None else flipped.rows
         assert _transposed_rows(region.rows, region.max_col) == expected
 
+    @settings(deadline=None)
+    @given(regions())
+    @example(LINKED_ROWS)
+    @example(NO_FILLING)
+    @example(GAP_COLUMN)
+    @example(build_region("stair:3/2"))
+    # the kernel sweeps these turned, transposed, and transposed then turned
+    @example(build_region("shifted:6,2,1"))
+    @example(CellRegion(((1, 2),) + ((2, 2),) * 5, frozenset({((1, 1), (2, 2))})))
+    @example(CellRegion(((1, 1),) * 5 + ((1, 2),), frozenset({((1, 1), (6, 2))})))
+    def test_the_shared_maps_match_the_cells(self, region):
+        found = orientations(region)
+        expected = [(o.rows, o.extra_precedences) for o in found]
+        assert shared_orientations(region) == expected
+        for original, (rows, pairs) in zip(found[::2], expected[1::2]):
+            rotated = rotate180(original)
+            assert (rotated.rows, rotated.extra_precedences) == (rows, pairs)
+        oriented = _line_region(region)
+        assert oriented is None or (oriented[0], frozenset(oriented[1])) in expected
+
     def test_one_row_takes_the_sweep(self):
         region = CellRegion(((1, 6),))
         assert _line_region(region) is None
         assert count_syt(region) == 1
 
     def test_columns_with_a_gap_are_not_transposed(self):
-        # column 2 is empty: a column of six cells, then one cell apart
-        region = CellRegion(((1, 1),) * 6 + ((3, 3),))
+        region = GAP_COLUMN
         assert _transposed_rows(region.rows, region.max_col) is None
         assert _line_region(region) is None
         assert count_syt(region) == count_syt_dfs(region) == 7

@@ -252,6 +252,26 @@ class TestRectangleFormula:
     def test_is_ordinary_count_of_box(self):
         assert rectangle_count(4, 4) == frobenius_young((4, 4, 4, 4)) == 24024
 
+    @pytest.mark.parametrize("m,n", [(1, 60), (3, 40), (40, 3), (0, 30), (30, 0), (5, 5)])
+    def test_factorials_grow_with_the_short_side(self, monkeypatch, m, n):
+        seen = []
+        real = formulas.factorial_ratio
+
+        def spy(numerators, denominators, *rest):
+            seen.append((len(numerators), len(denominators)))
+            return real(numerators, denominators, *rest)
+
+        monkeypatch.setattr(formulas, "factorial_ratio", spy)
+        count = rectangle_count(m, n)
+        assert seen and max(map(max, seen)) <= 2 * min(m, n) + 3
+        # the hook length formula: hooks i + j - 1 over the m x n box
+        assert count == math.factorial(m * n) // math.prod(
+            (i + j - 1) for i in range(1, m + 1) for j in range(1, n + 1)
+        )
+
+    def test_one_row_or_no_row_of_any_length(self):
+        assert rectangle_count(1, 10**9) == rectangle_count(10**9, 0) == 1
+
 
 class TestPairCoefficientShifted:
     @pytest.mark.parametrize("m", range(1, 5))
