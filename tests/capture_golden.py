@@ -91,6 +91,14 @@ SCAN_EDGES = [
     ("scan", "--family", "square-minus-two", "--n", "3..2"),
     ("scan", "--family", "stair-trunc", "--m", "3", "--kappa", "3"),
     ("scan", "--family", "stair-trunc", "--m", "10", "--kappa", "1"),
+    # the oracle scans' empty, negative and non-fitting rows
+    ("scan", "--family", "rect-trunc", "--m", "-1", "--n", "2"),
+    ("scan", "--family", "stair-trunc", "--m", "-1..1"),
+    ("scan", "--family", "rect-trunc", "--m", "2", "--n", "2", "--kappa", "1,1,1"),
+    ("scan", "--family", "stair-trunc", "--m", "0..2"),
+    ("scan", "--family", "rect-trunc", "--m", "2", "--n", "0..1", "--format", "csv"),
+    ("scan", "--family", "rect-trunc", "--m", "3", "--n", "3", "--kappa", "3,3,3",
+     "--format", "json"),
     ("scan", "--family", "stair-corner", "--m", "a..b"),
     ("scan", "--family", "bogus", "--m", "1"),
     ("scan", "--help"),
@@ -167,7 +175,8 @@ VERIFIES = [
     ("pivot-rect", "--mu", "0", "--k", "-1", "--m", "1", "--n", "1"),
     ("pivot-rect", "--mu", "0", "--k", "1", "--m", "1"),
     ("conjecture", "--n", "2"), ("conjecture", "--n", "3"), ("conjecture", "--n", "5"),
-    ("conjecture", "--n", "1"), ("conjecture", "--n", "8"), ("conjecture",),
+    ("conjecture", "--n", "1"), ("conjecture", "--n", "8"), ("conjecture", "--n", "4"),
+    ("conjecture",),
     ("nonsense",), ("main-stair", "--mu", "4,x", "--m", "1"),
 ]
 
