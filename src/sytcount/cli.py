@@ -40,10 +40,7 @@ from .shapes import (
     ShapeDescriptor,
     ShapeError,
     StrictPartition,
-    outline_size,
     parse_descriptor,
-    truncated_rectangle_region,
-    truncated_staircase_region,
 )
 from .truncated import (
     FAMILIES,
@@ -71,18 +68,12 @@ class RangeTooLarge(ValueError):
     """A scan asks for a brute-force count past the configured budget."""
 
 
-def _oracle_budget() -> int:
-    raw = os.environ.get(ORACLE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_LIMIT
+def _check_budget(n_cells: int) -> None:
+    raw = os.environ.get(ORACLE_LIMIT_ENV, str(DEFAULT_ORACLE_LIMIT))
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise RangeTooLarge(f"{ORACLE_LIMIT_ENV} must be an integer, got {raw!r}")
-
-
-def _check_budget(n_cells: int) -> None:
-    budget = _oracle_budget()
     if n_cells > budget:
         raise RangeTooLarge(
             f"brute-force count over {n_cells} cells exceeds the budget of "
@@ -110,25 +101,6 @@ def _fmt_count(v: int) -> str:
     return s
 
 
-def formula_count(desc: ShapeDescriptor) -> tuple[str, FactoredRatio, bool] | None:
-    """Closed-form count for a descriptor, as (family name, ratio, whether
-    the form is conjectural), or None when the shape matches no family.
-    """
-    if desc.family == "part":
-        return ("frobenius-young", frobenius_young_ratio(desc.lam), False)
-    if desc.family == "shifted":
-        return ("schur", schur_ratio(desc.lam), False)
-    if not desc.kappa.parts:
-        if desc.family == "stair":
-            return ("staircase", staircase_ratio(desc.m), False)
-        return ("rectangle", rectangle_ratio(desc.m, desc.n), False)
-    for family in FAMILIES.values():
-        params = family.match(desc)
-        if params is not None:
-            return (family.name, family.ratio(*params), family.conjectural)
-    return None
-
-
 @dataclass(frozen=True)
 class Count:
     """A tableau count and how it was obtained.
@@ -145,6 +117,11 @@ class Count:
     conjectural: bool = False
 
 
+def _closed_form(route: str, ratio: FactoredRatio, cells: int, conjectural: bool = False) -> Count:
+    """The count of a closed form, from its factored value."""
+    return Count(route, cells, ratio.to_integer(), ratio, conjectural)
+
+
 def resolve(desc: ShapeDescriptor, method: str) -> Count:
     """Count ``desc`` by ``method``: ``formula`` takes the closed form and
     raises :class:`NoFormulaAvailable` without one, ``oracle`` runs the DP,
@@ -154,10 +131,20 @@ def resolve(desc: ShapeDescriptor, method: str) -> Count:
     form matches builds a region, so an invalid one reaches
     ``desc.region()`` and fails there with the same message on every route.
     """
-    hit = None if method == "oracle" else formula_count(desc)
-    if hit is not None:
-        name, ratio, conjectural = hit
-        return Count(name, desc.size, ratio.to_integer(), ratio, conjectural)
+    if method != "oracle":
+        if desc.family == "part":
+            return _closed_form("frobenius-young", frobenius_young_ratio(desc.lam), desc.size)
+        if desc.family == "shifted":
+            return _closed_form("schur", schur_ratio(desc.lam), desc.size)
+        if not desc.kappa.parts:
+            if desc.family == "stair":
+                return _closed_form("staircase", staircase_ratio(desc.m), desc.size)
+            return _closed_form("rectangle", rectangle_ratio(desc.m, desc.n), desc.size)
+        for family in FAMILIES.values():
+            params = family.match(desc)
+            if params is not None:
+                return _closed_form(family.name, family.ratio(*params), desc.size,
+                                    family.conjectural)
     region = desc.region()
     if method == "formula":
         raise NoFormulaAvailable(f"no closed form for {desc.text}")
@@ -270,13 +257,26 @@ def _verify_pivot(label: str, report) -> int:
     return _print_check(head, report.tableau_count, report.identity_sum)
 
 
+def _oracle_count(geometry: str, sides: Sequence[int], kappa: Partition) -> Count:
+    """``resolve(desc, "oracle")`` for the descriptor ``desc`` that ``count``
+    reads for the ``stair`` or ``rect`` with ``sides``, less the truncation
+    ``kappa``, once the budget allows ``desc.size`` cells.  A negative side
+    skips the budget and gets the builder's message."""
+    cut = "/" + ",".join(map(str, kappa.parts)) if kappa.parts else ""
+    text = f"{geometry}:{'x'.join(map(str, sides))}{cut}"
+    desc = ShapeDescriptor(text, geometry, None, *sides, kappa=kappa)
+    if min(sides) >= 0:
+        _check_budget(desc.size)
+    return resolve(desc, "oracle")
+
+
 def _verify_conjecture(label: str, n: int) -> int:
     family = FAMILIES["square-minus-two"]
     family.check(n)
-    _check_budget(family.cells(n))
-    region = family.region(n)
+    sides, kappa = family.shape(n)
+    count = _oracle_count(family.geometry, sides, Partition(kappa))
     print("CONJECTURE: the closed form below is unproved")
-    return _print_check(label, count_syt(region), conjecture_square_minus_two(n))
+    return _print_check(label, count.value, conjecture_square_minus_two(n))
 
 
 @dataclass(frozen=True)
@@ -359,11 +359,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return spec.check(" ".join(["identity", args.identity, *words]), *values.values())
 
 
-# Scan families that count a given truncation ``--kappa`` by the oracle:
-# (outline, parameter names, region builder).  The others are the family table.
+# Scan families that count a given ``--kappa`` by the oracle: (outline, parameter names).
 _ORACLE_SCANS = {
-    "stair-trunc": ("stair", ("m",), truncated_staircase_region),
-    "rect-trunc": ("rect", ("m", "n"), truncated_rectangle_region),
+    "stair-trunc": ("stair", ("m",)),
+    "rect-trunc": ("rect", ("m", "n")),
 }
 _SCAN_FAMILIES = [*FAMILIES, *_ORACLE_SCANS]
 _SCAN_FIELDS = ("family", "params", "N", "count", "largest_prime", "n_smooth")
@@ -385,7 +384,7 @@ def _scan_records(args) -> list[dict]:
     """One record of ``_SCAN_FIELDS`` per row of the scan."""
     family = FAMILIES.get(args.family)
     if family is None:
-        geometry, names, region_of = _ORACLE_SCANS[args.family]
+        geometry, names = _ORACLE_SCANS[args.family]
         kappa = Partition(args.kappa or ())
     else:
         names = family.params
@@ -394,15 +393,11 @@ def _scan_records(args) -> list[dict]:
     for values in _grid(axes):
         params = dict(zip(names, values))
         if family is None:
-            if min(values) >= 0:  # negative sides get the builder's message
-                _check_budget(outline_size(geometry, values, kappa.parts))
-            region = region_of(*values, kappa)
+            count = _oracle_count(geometry, values, kappa)
             params["kappa"] = list(kappa.parts)
-            count = Count("oracle", region.size, count_syt(region))
-        else:
-            ratio = family.ratio(*values)  # checks the range first
-            count = Count(family.name, family.cells(*values), ratio.to_integer(), ratio,
-                          family.conjectural)
+        else:  # the ratio checks the range first
+            count = _closed_form(family.name, family.ratio(*values), family.cells(*values),
+                                 family.conjectural)
         fac, smooth = _factored(count)
         fields = (args.family, params, count.cells, _decimal(count.value),
                   fac.largest_prime, smooth)

@@ -1,12 +1,17 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import signal
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sytcount import arith, cli
 from sytcount.arith import factorize
@@ -659,6 +664,50 @@ class TestScan:
         joined = outcome(argv[:at] + [f"{option}={value}"] + argv[at + 2 :])
         assert spaced == joined
         assert "expected one argument" not in spaced[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["stair-trunc", "rect-trunc"]),
+        m=st.tuples(st.integers(-1, 6), st.integers(-1, 6)),
+        n=st.tuples(st.integers(-1, 6), st.integers(-1, 6)),
+        kappa=st.lists(st.integers(1, 4), max_size=3).map(lambda ks: sorted(ks, reverse=True)),
+    )
+    def test_oracle_rows_are_factor_of_their_descriptor(self, family, m, n, kappa):
+        """Each ``stair-trunc``/``rect-trunc`` row reads what ``factor
+        --method oracle`` reads for the row's descriptor, and a scan that
+        fails does so with the message of its first bad row."""
+
+        def quiet(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                os.environ.pop(ORACLE_LIMIT_ENV, None)
+                code = main(list(argv))
+            return code, out.getvalue(), err.getvalue()
+
+        axes = [range(m[0], m[1] + 1)]
+        argv = ["scan", "--family", family, f"--m={m[0]}..{m[1]}", "--format", "json"]
+        if family == "rect-trunc":
+            axes.append(range(n[0], n[1] + 1))
+            argv.append(f"--n={n[0]}..{n[1]}")
+        cut = ",".join(map(str, kappa))
+        if kappa:
+            argv.append(f"--kappa={cut}")
+        code, out, err = quiet(*argv)
+        rows = []
+        for sides in itertools.product(*axes):
+            text = f"{family.partition('-')[0]}:{'x'.join(map(str, sides))}"
+            text += f"/{cut}" if kappa else ""
+            factor = quiet("factor", text, "--method", "oracle")
+            if factor[0] != 0:
+                assert (code, out, err) == (2, "", factor[2]), text
+                return
+            fields = dict(line.split(" ", 1) for line in factor[1].splitlines())
+            rows.append((int(fields["N"]), fields["count"], int(fields["largest_prime"]),
+                         fields["N_smooth"] == "yes"))
+        assert (code, err) == (0, "")
+        got = [(r["N"], r["count"], r["largest_prime"], r["n_smooth"]) for r in json.loads(out)]
+        assert got == rows
 
     def test_negative_range_values(self, capsys):
         code, out, err = run(capsys, "scan", "--family", "stair-corner", "--m", "-1..2")

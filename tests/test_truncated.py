@@ -2,7 +2,7 @@
 
 import pytest
 
-from sytcount.cli import formula_count
+from sytcount.cli import NoFormulaAvailable, resolve
 from sytcount.count import count_syt
 from sytcount.formulas import (
     PartTooSmall,
@@ -408,13 +408,13 @@ class TestFamilyTable:
                 region = desc.region()
             except ValueError:
                 continue
-            hit = formula_count(desc)
-            if hit is None:
+            try:
+                hit = resolve(desc, "formula")
+            except NoFormulaAvailable:
                 continue
-            name, ratio, conjectural = hit
-            claimed.add(name)
-            assert conjectural == FAMILIES[name].conjectural
-            assert ratio.to_integer() == count_syt(region), text
+            claimed.add(hit.route)
+            assert hit.conjectural == FAMILIES[hit.route].conjectural
+            assert hit.value == count_syt(region), text
             assert desc.size == region.size, text
         assert claimed == {name for name, f in FAMILIES.items() if f.propose}
 
@@ -430,10 +430,10 @@ class TestFamilyTable:
                 continue
             text = f"{family.geometry}:{'x'.join(map(str, sides))}/{','.join(map(str, kappa))}"
             desc = parse_descriptor(text)
-            hit = formula_count(desc)
-            assert hit is not None and hit[0] == name, text
+            hit = resolve(desc, "formula")
+            assert hit.route == name, text
             assert family.match(desc) == params, text
-            assert hit[1] == family.ratio(*params), text
+            assert hit.ratio == family.ratio(*params), text
             seen += 1
         assert seen >= 4
 
