@@ -69,9 +69,9 @@ class RangeTooLarge(ValueError):
 
 
 def _check_budget(n_cells: int) -> None:
-    raw = os.environ.get(ORACLE_LIMIT_ENV, str(DEFAULT_ORACLE_LIMIT))
+    raw = os.environ.get(ORACLE_LIMIT_ENV)
     try:
-        budget = int(raw)
+        budget = DEFAULT_ORACLE_LIMIT if raw is None else int(raw)
     except ValueError:
         raise RangeTooLarge(f"{ORACLE_LIMIT_ENV} must be an integer, got {raw!r}")
     if n_cells > budget:
