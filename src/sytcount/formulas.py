@@ -5,11 +5,11 @@ Every formula is evaluated exactly, so a wrong (non-integral) evaluation
 fails loudly instead of rounding.  The Frobenius-Young and Schur products
 are each written once, as ``n!`` times pairwise factors over factorials.
 Their ``*_ratio`` forms count the pairwise factors in bulk and hand the
-multisets to :func:`factorial_ratio`.  Their integer counts, for small or
-lopsided shapes (see ``_EXACT_DIVISION_SIZE``), multiply both sides out
-and divide with :func:`exact_quotient`, which raises :class:`NotAnInteger`
-on a remainder; other shapes convert the factored ratio.  Every other
-formula is a :class:`FactoredRatio` converted to an integer at the end.
+multisets to :func:`factorial_ratio`.  Their integer counts, for shapes
+up to ``_EXACT_DIVISION_SIZE``, multiply both sides out and divide with
+:func:`exact_quotient`, which raises :class:`NotAnInteger` on a remainder;
+larger shapes convert the factored ratio.  Every other formula is a
+:class:`FactoredRatio` converted to an integer at the end.
 """
 
 from __future__ import annotations
@@ -61,14 +61,11 @@ def _rect_prefix(mu: PartitionLike, k: int) -> Partition:
 
 
 # The Frobenius-Young and Schur counts are one exact integer division while
-# n + parts**2 (about the pairwise factors multiplied out) is at most
-# _EXACT_DIVISION_SIZE, or n - top + parts**2 is at most the lopsided size,
-# top being the largest bottom factorial's argument: the falling factorial
-# takes top! out of n!.  Past both, the factored ratio is about as fast or
-# faster.  Chosen from both paths timed on cells x parts, lopsided and
-# few-part shapes.
+# the cells plus the square of the number of parts (about the pairwise
+# factors multiplied out) is at most this size; past it, the multiplied-out
+# sides outgrow the count so far that building the factored ratio is
+# faster.  Chosen from both paths timed on a grid of cells x parts.
 _EXACT_DIVISION_SIZE = 1200
-_LOPSIDED_DIVISION_SIZE = 800
 
 
 def _frobenius_young_terms(lam: PartitionLike) -> tuple:
@@ -101,12 +98,11 @@ def _as_ratio(n: int, bottoms, ups, downs) -> FactoredRatio:
 
 
 def _as_count(n: int, bottoms, ups, downs) -> int:
+    if n + len(bottoms) ** 2 > _EXACT_DIVISION_SIZE:
+        return _as_ratio(n, bottoms, ups, downs).to_integer()
     # n! over the first (largest) bottom factorial is a falling factorial;
     # min(n, top) keeps it exact should a wrong formula put top above n.
     top = bottoms[0] if bottoms else 0
-    square = len(bottoms) ** 2
-    if n + square > _EXACT_DIVISION_SIZE and n - top + square > _LOPSIDED_DIVISION_SIZE:
-        return _as_ratio(n, bottoms, ups, downs).to_integer()
     low = min(n, top)
     return exact_quotient(
         perm(n, n - low) * prod(ups),

@@ -16,7 +16,6 @@ from sytcount.arith import NotAnInteger, exact_quotient
 from sytcount.count import count_syt
 from sytcount.formulas import (
     _EXACT_DIVISION_SIZE,
-    _LOPSIDED_DIVISION_SIZE,
     PartTooSmall,
     binomial_convolution_lhs,
     coeff_c,
@@ -133,38 +132,19 @@ class TestShiftedFormula:
 
 
 def division_size(lam):
-    """What the two crossovers between the count paths are measured in: the
-    cells plus the square of the number of nonzero parts, and the same less
-    the largest bottom factorial's argument (the first hook of an ordinary
-    shape, the first part of a shifted one)."""
-    parts = [p for p in lam.parts if p]
-    top = parts[0] + (0 if isinstance(lam, StrictPartition) else len(parts) - 1) if parts else 0
-    return sum(parts) + len(parts) ** 2, sum(parts) - top + len(parts) ** 2
-
-
-def divides_exactly(lam):
-    size, lopsided = division_size(lam)
-    return size <= _EXACT_DIVISION_SIZE or lopsided <= _LOPSIDED_DIVISION_SIZE
+    """What the crossover between the two count paths is measured in: the
+    cells plus the square of the number of nonzero parts."""
+    return sum(lam) + sum(1 for p in lam if p) ** 2
 
 
 def near_the_crossover():
-    """From three below each limit to three above.  At the cells-plus-parts²
-    limit: ordinary shapes of 3 parts and shifted shapes of 5, lopsided
-    enough to take the integer path on both sides, and shapes of 12 nearly
-    equal parts, which are not.  At the lopsided limit: lopsided shapes past
-    the other one."""
+    """Ordinary shapes of 3 parts and shifted shapes of 5, from three cells
+    below the crossover to three above."""
     for d in range(-3, 4):
         cells = _EXACT_DIVISION_SIZE - 9 + d
         yield Partition((cells - 2 * (cells // 5), cells // 5, cells // 5))
         cells = _EXACT_DIVISION_SIZE - 25 + d
         yield StrictPartition((cells - 10, 4, 3, 2, 1))
-        q, r = divmod(_EXACT_DIVISION_SIZE - 144 + d, 12)
-        yield Partition((q + 1,) * r + (q,) * (12 - r))
-        yield StrictPartition((_EXACT_DIVISION_SIZE - 1101 + d, *range(92, 81, -1)))
-        rest = _LOPSIDED_DIVISION_SIZE - 7 + d
-        yield Partition((rest, rest - rest // 2, rest // 2))
-        second = _LOPSIDED_DIVISION_SIZE - 31 + d
-        yield StrictPartition((second + 1, second, 3, 2, 1))
 
 
 # Up to 45 parts of up to 60 (ordinary) or 120 (shifted) cells: both sides
@@ -197,9 +177,7 @@ class TestExactDivision:
 
     @pytest.mark.parametrize("lam", list(near_the_crossover()), ids=str)
     def test_paths_agree_near_the_crossover(self, lam):
-        size, lopsided = division_size(lam)
-        assert (abs(size - _EXACT_DIVISION_SIZE) <= 3
-                or abs(lopsided - _LOPSIDED_DIVISION_SIZE) <= 3 and size > _EXACT_DIVISION_SIZE)
+        assert abs(division_size(lam.parts) - _EXACT_DIVISION_SIZE) <= 3
         got, want = self.count_of(lam)
         assert got == want
 
@@ -214,7 +192,8 @@ class TestExactDivision:
         for lam in near_the_crossover():
             divided.clear()
             self.count_of(lam)
-            assert len(divided) == divides_exactly(lam), lam
+            below = division_size(lam.parts) <= _EXACT_DIVISION_SIZE
+            assert len(divided) == below, lam
 
     @pytest.mark.parametrize("lam", [(), (0,), (0, 0), (3, 1, 0, 0), (5, 0)])
     def test_empty_and_trailing_zeros(self, lam):
@@ -231,10 +210,11 @@ class TestExactDivision:
         lam = Partition(lam)
         assert frobenius_young(lam) == frobenius_young(lam.conjugate())
 
-    @pytest.mark.parametrize("lam", [(2, 1), (6, 5, 5, 3, 2, 1), (1250, 1250), (701, 650, 600)])
+    @pytest.mark.parametrize(
+        "lam", [(2, 1), (6, 5, 5, 3, 2, 1), (1250, 1), (1300,), (1000000, 790, 3)])
     def test_a_wrong_formula_raises_on_both_paths(self, monkeypatch, lam):
-        # the first two shapes lie below the crossover, the last two above
-        assert divides_exactly(Partition(lam)) == (sum(lam) < 100)
+        # the first two shapes lie below the crossover, the rest above; the
+        # last is lopsided and far past the int-to-str digit limit
         right = formulas._frobenius_young_terms
 
         def hooks_off_by_one(lam):
