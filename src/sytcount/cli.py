@@ -257,24 +257,27 @@ def _verify_pivot(label: str, report) -> int:
     return _print_check(head, report.tableau_count, report.identity_sum)
 
 
-def _oracle_count(geometry: str, sides: Sequence[int], kappa: Partition) -> Count:
-    """``resolve(desc, "oracle")`` for the descriptor ``desc`` that ``count``
-    reads for the ``stair`` or ``rect`` with ``sides``, less the truncation
-    ``kappa``, once the budget allows ``desc.size`` cells.  A negative side
-    skips the budget and gets the builder's message."""
+def _oracle_counter(geometry: str, kappa: Partition) -> Callable[[Sequence[int]], Count]:
+    """``sides -> resolve(desc, "oracle")`` for the descriptor ``desc`` that
+    ``count`` reads for that ``stair`` or ``rect`` less ``kappa``, once the
+    budget allows ``desc.size`` cells; a negative side skips the budget and
+    gets the builder's message.  The cut's text is written once per scan."""
     cut = "/" + ",".join(map(str, kappa.parts)) if kappa.parts else ""
-    text = f"{geometry}:{'x'.join(map(str, sides))}{cut}"
-    desc = ShapeDescriptor(text, geometry, None, *sides, kappa=kappa)
-    if min(sides) >= 0:
-        _check_budget(desc.size)
-    return resolve(desc, "oracle")
+
+    def count(sides: Sequence[int]) -> Count:
+        desc = ShapeDescriptor(f"{geometry}:{'x'.join(map(str, sides))}{cut}", geometry, None,
+                               *sides, kappa=kappa)
+        if min(sides) >= 0:
+            _check_budget(desc.size)
+        return resolve(desc, "oracle")
+    return count
 
 
 def _verify_conjecture(label: str, n: int) -> int:
     family = FAMILIES["square-minus-two"]
     family.check(n)
     sides, kappa = family.shape(n)
-    count = _oracle_count(family.geometry, sides, Partition(kappa))
+    count = _oracle_counter(family.geometry, Partition(kappa))(sides)
     print("CONJECTURE: the closed form below is unproved")
     return _print_check(label, count.value, conjecture_square_minus_two(n))
 
@@ -386,6 +389,7 @@ def _scan_records(args) -> list[dict]:
     if family is None:
         geometry, names = _ORACLE_SCANS[args.family]
         kappa = Partition(args.kappa or ())
+        oracle_count = _oracle_counter(geometry, kappa)
     else:
         names = family.params
     axes = [_option(args, name, f"family {args.family!r}") for name in names]
@@ -393,7 +397,7 @@ def _scan_records(args) -> list[dict]:
     for values in _grid(axes):
         params = dict(zip(names, values))
         if family is None:
-            count = _oracle_count(geometry, values, kappa)
+            count = oracle_count(values)
             params["kappa"] = list(kappa.parts)
         else:  # the ratio checks the range first
             count = _closed_form(family.name, family.ratio(*values), family.cells(*values),
