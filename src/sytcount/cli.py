@@ -68,17 +68,12 @@ class RangeTooLarge(ValueError):
     """A scan asks for a brute-force count past the configured budget."""
 
 
-def _check_budget(n_cells: int) -> None:
+def _oracle_budget() -> int:
     raw = os.environ.get(ORACLE_LIMIT_ENV)
     try:
-        budget = DEFAULT_ORACLE_LIMIT if raw is None else int(raw)
+        return DEFAULT_ORACLE_LIMIT if raw is None else int(raw)
     except ValueError:
         raise RangeTooLarge(f"{ORACLE_LIMIT_ENV} must be an integer, got {raw!r}")
-    if n_cells > budget:
-        raise RangeTooLarge(
-            f"brute-force count over {n_cells} cells exceeds the budget of "
-            f"{budget}; raise {ORACLE_LIMIT_ENV} to allow it"
-        )
 
 
 def _decimal(v: int) -> str:
@@ -260,15 +255,20 @@ def _verify_pivot(label: str, report) -> int:
 def _oracle_counter(geometry: str, kappa: Partition) -> Callable[[Sequence[int]], Count]:
     """``sides -> resolve(desc, "oracle")`` for the descriptor ``desc`` that
     ``count`` reads for that ``stair`` or ``rect`` less ``kappa``, once the
-    budget allows ``desc.size`` cells; a negative side skips the budget and
-    gets the builder's message.  The cut's text is written once per scan."""
+    budget (read at the first row checked) allows ``desc.size`` cells; a
+    negative side skips the budget and gets the builder's message."""
     cut = "/" + ",".join(map(str, kappa.parts)) if kappa.parts else ""
+    budget = None
 
     def count(sides: Sequence[int]) -> Count:
+        nonlocal budget
         desc = ShapeDescriptor(f"{geometry}:{'x'.join(map(str, sides))}{cut}", geometry, None,
                                *sides, kappa=kappa)
         if min(sides) >= 0:
-            _check_budget(desc.size)
+            budget = _oracle_budget() if budget is None else budget
+            if desc.size > budget:
+                raise RangeTooLarge(f"brute-force count over {desc.size} cells exceeds the "
+                                    f"budget of {budget}; raise {ORACLE_LIMIT_ENV} to allow it")
         return resolve(desc, "oracle")
     return count
 
