@@ -193,6 +193,16 @@ OTHER = [
     ("factor",), ("verify",), ("--help",),
 ]
 
+# The order and sign messages of both partition kinds, raised through a
+# shape, a truncation and the --mu of verify.
+PARTITION_ERRORS = [
+    ("count", "shifted:3,-1"), ("count", "shifted:-2"), ("count", "part:2,0,1"),
+    ("factor", "shifted:3,0,1"), ("count", "stair:4/1,2"), ("count", "rect:3x3/-1"),
+    ("verify", "main-stair", "--mu", "9,9", "--m", "1"),
+    ("verify", "main-rect", "--mu", "1,2", "--k", "2", "--m", "1", "--n", "1"),
+    ("verify", "coeff-c", "--mu", "5,-1", "--m", "1", "--t", "0"),
+]
+
 
 def commands() -> list[tuple[tuple[str, ...], dict[str, str]]]:
     cmds: list[tuple[tuple[str, ...], dict[str, str]]] = []
@@ -210,7 +220,7 @@ def commands() -> list[tuple[tuple[str, ...], dict[str, str]]]:
     cmds.append((("verify", "conjecture", "--n", "7"), {BUDGET_ENV: "47"}))
     cmds.append((("verify", "conjecture", "--n", "3"), {BUDGET_ENV: "many"}))
     cmds += [(("verify",) + argv, {}) for argv in VERIFIES]
-    cmds += [(argv, {}) for argv in ENUMERATES + OTHER]
+    cmds += [(argv, {}) for argv in ENUMERATES + OTHER + PARTITION_ERRORS]
     return cmds
 
 
