@@ -38,7 +38,6 @@ from .pivot import verify_pivot_identity_rect, verify_pivot_identity_staircase
 from .shapes import (
     Partition,
     ShapeDescriptor,
-    ShapeError,
     StrictPartition,
     parse_descriptor,
 )
@@ -547,7 +546,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ShapeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -343,7 +343,7 @@ def enumerate_syt(region: CellRegion, limit: int | None = None) -> Iterator[Tabl
     if limit is not None and limit <= 0:
         return
     for emitted, grid in enumerate(_fillings(region), start=1):
-        yield Tableau(region, tuple(map(tuple, grid)))
+        yield Tableau(region, grid)
         if emitted == limit:
             return
 
