@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from operator import itemgetter, le, lt
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
 
 Cell = tuple[int, int]
 Interval = tuple[int, int]
@@ -44,23 +44,31 @@ class InvalidSpec(ShapeError):
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of nonnegative integers; trailing zeros stripped.
+class _Parts:
+    """Decreasing tuple of integers; trailing zeros stripped.
 
-    ``Partition((3, 1, 0))`` and ``Partition((3, 1))`` compare equal.  The
-    empty partition is ``Partition()``.
+    The one body of :class:`Partition` and :class:`StrictPartition`.  Each
+    names its order rule as ``_breaks``, true of a part and the part after
+    it where the rule is broken (an ``operator`` builtin, which the class
+    does not bind as a method), the error that such a break raises, and
+    the words of its order and sign messages.
     """
 
     parts: tuple[int, ...] = ()
+
+    _breaks: ClassVar[Callable[[int, int], bool]]
+    _order_error: ClassVar[type[ShapeError]]
+    _words: ClassVar[tuple[str, str]]  # the order's adverb, the sign's adjective
 
     def __post_init__(self) -> None:
         parts = tuple(int(p) for p in self.parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ShapeError(f"parts must be weakly decreasing: {self.parts}")
+        order, sign = self._words
+        if any(map(self._breaks, parts, parts[1:])):
+            raise self._order_error(f"parts must be {order} decreasing: {self.parts}")
         if parts and parts[-1] < 0:
-            raise ShapeError(f"parts must be nonnegative: {self.parts}")
+            raise ShapeError(f"parts must be {sign}: {self.parts}")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -75,6 +83,16 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+
+class Partition(_Parts):
+    """Weakly decreasing tuple of nonnegative integers; trailing zeros stripped.
+
+    ``Partition((3, 1, 0))`` and ``Partition((3, 1))`` compare equal.  The
+    empty partition is ``Partition()``.
+    """
+
+    _breaks, _order_error, _words = lt, ShapeError, ("weakly", "nonnegative")
 
     def part(self, i: int) -> int:
         """The ``i``-th part, 1-based, with implicit zeros past the end."""
@@ -94,58 +112,21 @@ class Partition:
         return Partition(tuple(e for _, e in columns))
 
 
-@dataclass(frozen=True)
-class StrictPartition:
+class StrictPartition(_Parts):
     """Strictly decreasing tuple of positive integers."""
 
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        if any(a <= b for a, b in zip(parts, parts[1:])):
-            raise StrictnessViolation(
-                f"parts must be strictly decreasing: {self.parts}"
-            )
-        if parts and parts[-1] < 0:
-            raise ShapeError(f"parts must be positive: {self.parts}")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-    def as_partition(self) -> Partition:
-        return Partition(self.parts)
+    _breaks, _order_error, _words = le, StrictnessViolation, ("strictly", "positive")
 
 
 PartitionLike = Union[Partition, StrictPartition, Sequence[int]]
 
 
 def coerce_partition(p: PartitionLike) -> Partition:
-    if isinstance(p, Partition):
-        return p
-    if isinstance(p, StrictPartition):
-        return p.as_partition()
-    return Partition(tuple(p))
+    return p if isinstance(p, Partition) else Partition(tuple(p))
 
 
 def coerce_strict(p: PartitionLike) -> StrictPartition:
-    if isinstance(p, StrictPartition):
-        return p
-    if isinstance(p, Partition):
-        return StrictPartition(p.parts)
-    return StrictPartition(tuple(p))
+    return p if isinstance(p, StrictPartition) else StrictPartition(tuple(p))
 
 
 def union(a: PartitionLike, b: PartitionLike) -> Union[Partition, StrictPartition]:
@@ -628,5 +609,7 @@ class Tableau:
         return self.region.size
 
     def label_at(self, r: int, c: int) -> int:
+        if (r, c) not in self.region:
+            raise ShapeError(f"{(r, c)} is not a cell of the region")
         s, _ = self.region.rows[r - 1]
         return self.rows[r - 1][c - s]

@@ -14,6 +14,8 @@ from sytcount.shapes import (
     StrictnessViolation,
     Tableau,
     build_region,
+    coerce_partition,
+    coerce_strict,
     complement_in_rectangle,
     complement_in_staircase,
     ordinary_region,
@@ -30,6 +32,37 @@ from sytcount.shapes import (
 
 partitions = st.lists(st.integers(1, 12), max_size=6).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
+)
+
+
+# The rules of both partition classes as each once wrote them out in full,
+# kept as the reference for their shared body.
+def reference_partition(raw):
+    parts = tuple(int(p) for p in raw)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ShapeError(f"parts must be weakly decreasing: {raw}")
+    if parts and parts[-1] < 0:
+        raise ShapeError(f"parts must be nonnegative: {raw}")
+    return parts
+
+
+def reference_strict(raw):
+    parts = tuple(int(p) for p in raw)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    if any(a <= b for a, b in zip(parts, parts[1:])):
+        raise StrictnessViolation(f"parts must be strictly decreasing: {raw}")
+    if parts and parts[-1] < 0:
+        raise ShapeError(f"parts must be positive: {raw}")
+    return parts
+
+
+# small parts with zeros and repeats, half of them sorted so that both
+# rules also see valid input
+raw_parts = st.tuples(st.lists(st.integers(-2, 6), max_size=6), st.booleans()).map(
+    lambda a: tuple(sorted(a[0], reverse=True) if a[1] else a[0])
 )
 
 
@@ -59,6 +92,37 @@ class TestPartition:
 
     def test_strict_partition_strips_zero(self):
         assert StrictPartition((2, 1, 0)).parts == (2, 1)
+
+    @given(raw_parts)
+    def test_both_classes_keep_the_reference_rules(self, raw):
+        for cls, reference in ((Partition, reference_partition),
+                               (StrictPartition, reference_strict)):
+            try:
+                want = reference(raw)
+            except ShapeError as exc:
+                with pytest.raises(ShapeError) as got:
+                    cls(raw)
+                assert type(got.value) is type(exc)
+                assert str(got.value) == str(exc)
+            else:
+                assert cls(raw).parts == want
+
+    def test_the_two_classes_stay_apart(self):
+        p, q = Partition((2, 1)), StrictPartition((2, 1))
+        assert p != q and q != p
+        assert len({p, q}) == 2
+        assert not isinstance(q, Partition) and not isinstance(p, StrictPartition)
+        assert repr(p) == "Partition(parts=(2, 1))"
+        assert repr(q) == "StrictPartition(parts=(2, 1))"
+
+    def test_coercions_round_trip(self):
+        p, q = Partition((3, 1)), StrictPartition((3, 1))
+        assert coerce_partition(p) is p and coerce_strict(q) is q
+        assert coerce_partition(q) == p and coerce_strict(p) == q
+        assert coerce_strict(coerce_partition(q)) == q
+        assert coerce_partition([3, 1, 0]) == p and coerce_strict((3, 1)) == q
+        with pytest.raises(StrictnessViolation):
+            coerce_strict(Partition((2, 2)))
 
 
 class TestOperations:
@@ -272,6 +336,15 @@ class TestTableau:
         t = Tableau(region, ((1, 2), (3,)))
         assert [t.label_at(*cell) for cell in region.cells()] == [1, 2, 3]
         assert t.label_at(2, 2) == 3
+
+    def test_label_at_refuses_cells_outside_the_region(self):
+        t = Tableau(build_region("part:3,2"), ((1, 2, 3), (4, 5)))
+        s = Tableau(build_region("stair:4"), ((1, 2, 4, 7), (3, 5, 8), (6, 9), (10,)))
+        assert s.label_at(2, 2) == 3
+        for tableau, cell in ((t, (0, 1)), (t, (2, 0)), (t, (1, -1)), (t, (2, 3)),
+                              (t, (3, 1)), (s, (2, 1)), (s, (4, 3))):
+            with pytest.raises(ShapeError, match="is not a cell of the region"):
+                tableau.label_at(*cell)
 
     def test_rows_of_any_iterable_become_tuples(self):
         region = build_region("stair:3")
