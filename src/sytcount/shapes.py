@@ -64,11 +64,11 @@ class _Parts:
         parts = tuple(int(p) for p in self.parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        order, sign = self._words
         if any(map(self._breaks, parts, parts[1:])):
+            order = self._words[0]
             raise self._order_error(f"parts must be {order} decreasing: {self.parts}")
         if parts and parts[-1] < 0:
-            raise ShapeError(f"parts must be {sign}: {self.parts}")
+            raise ShapeError(f"parts must be {self._words[1]}: {self.parts}")
         object.__setattr__(self, "parts", parts)
 
     @property
