@@ -35,8 +35,8 @@ partitions = st.lists(st.integers(1, 12), max_size=6).map(
 )
 
 
-# The rules of both partition classes as each once wrote them out in full,
-# kept as the reference for their shared body.
+# Each partition class's rules written out in full, the reference for the
+# body the two classes share.
 def reference_partition(raw):
     parts = tuple(int(p) for p in raw)
     while parts and parts[-1] == 0:
