@@ -119,7 +119,6 @@ class TestPartition:
         p, q = Partition((3, 1)), StrictPartition((3, 1))
         assert coerce_partition(p) is p and coerce_strict(q) is q
         assert coerce_partition(q) == p and coerce_strict(p) == q
-        assert coerce_strict(coerce_partition(q)) == q
         assert coerce_partition([3, 1, 0]) == p and coerce_strict((3, 1)) == q
         with pytest.raises(StrictnessViolation):
             coerce_strict(Partition((2, 2)))
