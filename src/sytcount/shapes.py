@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
-from operator import itemgetter, le, lt
+from operator import add, itemgetter, le, lt
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
 
 Cell = tuple[int, int]
@@ -179,32 +179,48 @@ def complement_in_rectangle(lam: PartitionLike, m: int, n: int) -> Partition:
     return Partition(tuple(comp[j - 1] - (n + 1 - j) for j in range(1, n + 1)))
 
 
+def _box_walk(m: int, n: int, size: int | None) -> Iterator[tuple[int, ...]]:
+    """Parts of each partition in the ``m x n`` box (of ``size`` cells, if
+    given), depth first from the empty one, each part counting down.  With
+    ``size``, a part is at most the cells left and at least their share of
+    the rows left, so no prefix that cannot reach ``size`` is placed.
+    """
+    if m < 0 or n < 0:
+        raise ShapeError(f"box sides must be nonnegative: {m}x{n}")
+    parts: list[int] = []
+    lows: list[int] = []  # the least each part may drop to
+    cells = 0
+    while True:
+        if size is None or cells == size:
+            yield tuple(parts)
+        if len(parts) < m:
+            hi, lo = parts[-1] if parts else n, 1
+            if size is not None:
+                rest = size - cells
+                hi, lo = min(hi, rest), max(1, -(-rest // (m - len(parts))))
+            if hi >= lo:
+                parts.append(hi)
+                lows.append(lo)
+                cells += hi
+                continue
+        while parts and parts[-1] == lows[-1]:
+            cells -= parts.pop()
+            lows.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        cells -= 1
+
+
 def partitions_in_box(m: int, n: int, size: int | None = None) -> Iterator[Partition]:
     """All partitions with at most ``m`` parts, each at most ``n``.
 
     Yields in depth-first order starting from the empty partition; pass
     ``size`` to keep only partitions of that many cells.  Subtrees that
-    cannot reach ``size`` or already pass it are never entered.
+    cannot reach ``size`` or already pass it are never entered.  A negative
+    side raises :class:`ShapeError`.
     """
-
-    def rec(
-        max_part: int, rows_left: int, prefix: list[int], cells: int
-    ) -> Iterator[Partition]:
-        if size is None or cells == size:
-            yield Partition(tuple(prefix))
-        if rows_left == 0:
-            return
-        hi, lo = max_part, 1
-        if size is not None:
-            # the next part p leaves room for at most p * (rows_left - 1) more
-            hi = min(max_part, size - cells)
-            lo = max(1, -(-(size - cells) // rows_left))
-        for nxt in range(hi, lo - 1, -1):
-            prefix.append(nxt)
-            yield from rec(nxt, rows_left - 1, prefix, cells + nxt)
-            prefix.pop()
-
-    yield from rec(n, m, [], 0)
+    yield from map(Partition, _box_walk(m, n, size))
 
 
 def strict_partitions_in_staircase(
@@ -213,33 +229,17 @@ def strict_partitions_in_staircase(
     """All strict partitions whose parts lie in ``{1..m}``.
 
     Yields by number of parts, then in lexicographically decreasing order;
-    pass ``size`` to keep only partitions of that many cells.  Prefixes
-    that cannot reach ``size`` or already pass it are never extended.
+    pass ``size`` to keep only partitions of that many cells.  Those with
+    ``k`` parts are then ``(k, ..., 1)`` plus the partitions of ``size -
+    k(k+1)/2`` in the ``k x (m - k)`` box, in the box walk's order.
     """
-    if size is None:
-        for k in range(m + 1):
-            for combo in combinations(range(m, 0, -1), k):
-                yield StrictPartition(combo)
-        return
-
-    def rec(k: int, max_part: int, rest: int, prefix: list[int]):
-        # k distinct parts led by `part` sum to at most part*k - k(k-1)/2,
-        # and the k - 1 parts after it to at least (k-1)k/2
-        if k == 0:
-            if rest == 0:
-                yield StrictPartition(tuple(prefix))
-            return
-        for part in range(min(max_part, rest), k - 1, -1):
-            if part * k - k * (k - 1) // 2 < rest:
-                return
-            if (k - 1) * k // 2 > rest - part:
-                continue
-            prefix.append(part)
-            yield from rec(k - 1, part - 1, rest - part, prefix)
-            prefix.pop()
-
     for k in range(m + 1):
-        yield from rec(k, m, size, [])
+        if size is None:
+            yield from map(StrictPartition, combinations(range(m, 0, -1), k))
+        elif 0 <= size - k * (k + 1) // 2 <= k * (m - k):
+            lift, pad = range(k, 0, -1), (0,) * k
+            for parts in _box_walk(k, m - k, size - k * (k + 1) // 2):
+                yield StrictPartition(tuple(map(add, parts + pad, lift)))
 
 
 Gather = Callable[[Sequence[int]], tuple[int, ...]]

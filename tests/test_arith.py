@@ -110,6 +110,11 @@ class TestFactoredRatio:
         assert FactoredRatio().to_integer() == 1
         assert FactoredRatio().factorization().pairs == ()
 
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_must_be_a_unit(self, sign):
+        with pytest.raises(ValueError, match=f"sign must be \\+1 or -1, got {sign}"):
+            FactoredRatio(sign=sign)
+
     def test_from_integer(self):
         r = FactoredRatio.from_integer(-12)
         assert r.factors == ((2, 2), (3, 1))

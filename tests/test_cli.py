@@ -72,6 +72,12 @@ class TestCount:
         assert code == 0
         assert out == "formula[frobenius-young] 16\noracle 16\nOK\n"
 
+    def test_check_reports_a_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "frobenius_young_ratio", lambda lam: arith.FactoredRatio.from_integer(17))
+        code, out, _ = run(capsys, "count", "part:3,2,1", "--check")
+        assert code == 1
+        assert out == "formula[frobenius-young] 17\noracle 16\nMISMATCH\n"
+
     def test_check_conjecture_label(self, capsys):
         code, out, _ = run(capsys, "count", "rect:3x3/2", "--check")
         assert code == 0
@@ -390,8 +396,10 @@ class TestVerify:
         ("sum-shifted", "--m", "4", "--t", "3"),
         ("sum-rect", "--m", "3", "--n", "3"),
         ("sum-rect", "--m", "3", "--n", "3", "--t", "4"),
+        ("sum-rect", "--m", "1000", "--n", "1", "--t", "1000"),
         ("coeff-c", "--mu", "4", "--m", "3", "--t", "3"),
         ("coeff-d", "--mu", "1", "--k", "2", "--m", "2", "--n", "2", "--t", "2"),
+        ("coeff-d", "--mu", "0", "--k", "1", "--m", "1000", "--n", "1", "--t", "1000"),
         ("main-stair", "--mu", "4,2", "--m", "1"),
         ("main-rect", "--mu", "1", "--k", "2", "--m", "1", "--n", "1"),
         ("binomial", "--t1", "2", "--t2", "3", "--N", "4"),
@@ -483,6 +491,21 @@ class TestVerify:
     def test_check_helper_reports_failures(self, capsys):
         assert _print_check("demo", 1, 2) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+    def test_coeff_reports_each_failing_instance(self, capsys, monkeypatch):
+        real = cli.coeff_d
+        monkeypatch.setattr(cli, "coeff_d", lambda *v: real(*v).times(2))
+        code, out, _ = run(capsys, "verify", "coeff-d", "--mu", "1", "--k", "2",
+                           "--m", "2", "--n", "2", "--t", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1:3] == ["coefficient 1470", "instances 2"]  # twice 735
+        fails = lines[3:-1]
+        assert len(fails) == 2 and lines[-1] == "FAIL"
+        for line in fails:
+            lam, _, rest = line.removeprefix("FAIL at lam=").partition(": ")
+            lhs, rhs = rest.split(" != ")
+            assert lam in ("(2)", "(1,1)") and int(rhs) == 2 * int(lhs)
 
 
 class TestBudget:

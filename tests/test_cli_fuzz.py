@@ -163,6 +163,9 @@ def run(argv):
 # A later axis that is empty after a huge first one: no rows, at once.
 @example(["scan", "--n", "2..-1", "--k", "-" + HUGE, "--m=-" + HUGE + "..0",
           "--family", "rect-trunc", "--format", "json", "--format", "json"])
+# A box a thousand rows tall: the partition walk keeps no frame per part.
+@example(["verify", "sum-rect", "--m", "1000", "--n", "1", "--t", "1000"])
+@example(["verify", "coeff-d", "--mu", "0", "--k", "1", "--m", "1000", "--n", "1", "--t", "1000"])
 def test_every_argv_ends_in_an_answer_or_one_error_line(argv):
     code, _, err = run(argv)
     assert code in (0, 1, 2), (argv, code)

@@ -1,8 +1,13 @@
 """Partition operations, region builders, and the descriptor grammar."""
 
+import re
+import sys
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
+from sytcount import shapes
 from sytcount.shapes import (
     CellRegion,
     InvalidSpec,
@@ -57,6 +62,51 @@ def reference_strict(raw):
     if parts and parts[-1] < 0:
         raise ShapeError(f"parts must be positive: {raw}")
     return parts
+
+
+# Both partition walks as recursive generators, one frame per part: the
+# reference for the order and pruning of the explicit-stack walk.
+def reference_box(m, n, size=None):
+    def rec(max_part, rows_left, prefix, cells):
+        if size is None or cells == size:
+            yield Partition(tuple(prefix))
+        if rows_left == 0:
+            return
+        hi, lo = max_part, 1
+        if size is not None:
+            hi = min(max_part, size - cells)
+            lo = max(1, -(-(size - cells) // rows_left))
+        for nxt in range(hi, lo - 1, -1):
+            prefix.append(nxt)
+            yield from rec(nxt, rows_left - 1, prefix, cells + nxt)
+            prefix.pop()
+
+    yield from rec(n, m, [], 0)
+
+
+def reference_strict_in_staircase(m, size=None):
+    if size is None:
+        for k in range(m + 1):
+            for combo in combinations(range(m, 0, -1), k):
+                yield StrictPartition(combo)
+        return
+
+    def rec(k, max_part, rest, prefix):
+        if k == 0:
+            if rest == 0:
+                yield StrictPartition(tuple(prefix))
+            return
+        for part in range(min(max_part, rest), k - 1, -1):
+            if part * k - k * (k - 1) // 2 < rest:
+                return
+            if (k - 1) * k // 2 > rest - part:
+                continue
+            prefix.append(part)
+            yield from rec(k - 1, part - 1, rest - part, prefix)
+            prefix.pop()
+
+    for k in range(m + 1):
+        yield from rec(k, m, size, [])
 
 
 # small parts with zeros and repeats, half of them sorted so that both
@@ -157,6 +207,8 @@ class TestOperations:
     def test_staircase(self):
         assert staircase(4) == StrictPartition((4, 3, 2, 1))
         assert staircase(0) == StrictPartition(())
+        with pytest.raises(ShapeError, match="staircase order must be nonnegative: -1"):
+            staircase(-1)
 
 
 class TestComplements:
@@ -221,18 +273,63 @@ class TestIterators:
                     p for p in every if p.size == s
                 ]
 
+    def test_walks_match_the_recursive_reference(self):
+        for m in range(7):
+            for n in range(7):
+                for s in (None, *range(-1, m * n + 2)):
+                    assert list(partitions_in_box(m, n, size=s)) == list(
+                        reference_box(m, n, size=s)
+                    ), (m, n, s)
+            for s in (None, *range(-1, m * (m + 1) // 2 + 2)):
+                assert list(strict_partitions_in_staircase(m, size=s)) == list(
+                    reference_strict_in_staircase(m, size=s)
+                ), (m, s)
+
+    def test_walks_keep_no_frame_per_part(self):
+        column = list(partitions_in_box(2000, 1))
+        assert len(column) == 2001
+        assert column[0] == Partition() and column[-1] == Partition((1,) * 2000)
+        assert list(strict_partitions_in_staircase(2000, size=2001000)) == [staircase(2000)]
+        # 2001 + ... + 2: the walk of 2,000 unit parts in the 2000 x 1 box
+        assert list(strict_partitions_in_staircase(2001, size=2003000)) == [
+            StrictPartition(tuple(range(2001, 1, -1)))
+        ]
+
+    @pytest.mark.parametrize("m,n", [(-1, 2), (2, -1), (-1, -1)])
+    def test_negative_box_side_raises(self, m, n):
+        for size in (None, 0, 3):
+            with pytest.raises(ShapeError, match=f"box sides must be nonnegative: {m}x{n}"):
+                next(partitions_in_box(m, n, size))
+
     def test_size_filter_prunes(self, monkeypatch):
-        built = []
-        post_init = Partition.__post_init__
+        for cls, walk, want in [
+            (Partition, lambda: partitions_in_box(8, 8, size=4), 5),
+            (StrictPartition, lambda: strict_partitions_in_staircase(16, size=8), 6),
+        ]:
+            built, steps = [], []
+            post_init = cls.__post_init__
 
-        def counting(self):
-            built.append(1)
-            post_init(self)
+            def counting(self):
+                built.append(1)
+                post_init(self)
 
-        monkeypatch.setattr(Partition, "__post_init__", counting)
-        assert len(list(partitions_in_box(8, 8, size=4))) == 5
-        # the unpruned walk builds all C(16, 8) = 12,870 partitions
-        assert len(built) < 100
+            def tracing(frame, event, arg):
+                # one call per resume, one line per statement, of the walk
+                if frame.f_code is shapes._box_walk.__code__:
+                    steps.append(event)
+                    return tracing
+                return None
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+            sys.settrace(tracing)
+            try:
+                assert len(list(walk())) == want
+            finally:
+                sys.settrace(None)
+            # the unpruned walks visit all C(16, 8) = 12,870 partitions of the
+            # box and all 2^16 = 65,536 subsets of 1..16
+            assert len(built) == want
+            assert len(steps) < 1000
 
 
 class TestRegions:
@@ -277,6 +374,17 @@ class TestRegions:
     def test_column_contiguity_enforced(self):
         with pytest.raises(ShapeError):
             CellRegion(((1, 1), (3, 3), (1, 3)))
+
+    @pytest.mark.parametrize("interval", [(0, 2), (3, 2)])
+    def test_bad_row_interval(self, interval):
+        with pytest.raises(ShapeError, match=re.escape(f"bad row interval {interval}")):
+            CellRegion(((1, 2), interval))
+
+    @pytest.mark.parametrize("pair", [((1, 1), (2, 3)), ((3, 1), (1, 1)), ((1, 0), (1, 2))])
+    def test_precedence_must_stay_in_the_region(self, pair):
+        src, dst = pair
+        with pytest.raises(ShapeError, match="leaves the region"):
+            CellRegion(((1, 2), (1, 2)), frozenset([pair]))
 
     def test_rotate180_right_justifies(self):
         r = truncated_rectangle_region(3, 4, Partition((2, 1)))

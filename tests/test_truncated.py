@@ -382,6 +382,10 @@ class TestFamilyTable:
         with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
             rect_minus_square_region(0, -1, 2)
 
+    def test_substaircase2_rejects_a_negative_order(self):
+        with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
+            count_stair_minus_substaircase2(-1)
+
     def test_sq_prefix_is_none_where_sq_plus1_owns_it(self):
         assert FAMILIES["stair-sq"].mu(3, 1) is None
         assert stair_sq_mu(3, 1) == FAMILIES["stair-sq+1"].mu(3, 1)
