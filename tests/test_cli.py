@@ -73,7 +73,8 @@ class TestCount:
         assert out == "formula[frobenius-young] 16\noracle 16\nOK\n"
 
     def test_check_reports_a_mismatch(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "frobenius_young_ratio", lambda lam: arith.FactoredRatio.from_integer(17))
+        wrong = arith.FactoredRatio.from_integer(17)
+        monkeypatch.setattr(cli, "frobenius_young_ratio", lambda lam: wrong)
         code, out, _ = run(capsys, "count", "part:3,2,1", "--check")
         assert code == 1
         assert out == "formula[frobenius-young] 17\noracle 16\nMISMATCH\n"
