@@ -238,10 +238,12 @@ def _verify_coeff(label: str, coefficient: FactoredRatio, terms, count_of) -> in
     ]
     failures = [(lam, lhs, rhs) for lam, lhs, rhs in checked if lhs != rhs]
     print(label)
-    print(f"coefficient {coefficient.to_fraction()}")
+    value = coefficient.to_fraction()
+    over = "" if value.denominator == 1 else f"/{_decimal(value.denominator)}"
+    print(f"coefficient {_decimal(value.numerator)}{over}")
     print(f"instances {len(checked)}")
     for lam, lhs, rhs in failures:
-        print(f"FAIL at lam={lam}: {lhs} != {rhs}")
+        print(f"FAIL at lam={lam}: {_decimal(lhs)} != {_decimal(rhs)}")
     print("PASS" if not failures else "FAIL")
     return 0 if not failures else 1
 
@@ -428,19 +430,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return 0
     table = [_SCAN_FIELDS, *([_scan_field(v) for v in r.values()] for r in records)]
     if args.format == "csv":
-        for row in table:
-            print(",".join(_csv_field(x) for x in row))
+        import csv  # here, so that process start does not pay for it
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
         return 0
     widths = [max(map(len, column)) for column in zip(*table)]
     for row in table:
         print("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip())
     return 0
-
-
-def _csv_field(text: str) -> str:
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

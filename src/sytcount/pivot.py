@@ -31,6 +31,7 @@ complementary-pair summation identities into counts of truncated shapes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
@@ -77,15 +78,6 @@ class SplitResult:
     second: Tableau
 
 
-def _is_full_rectangle(region: CellRegion) -> bool:
-    return region.rows == ((1, region.max_col),) * region.num_rows
-
-
-def _is_full_staircase(region: CellRegion) -> bool:
-    m = region.num_rows
-    return region.rows == tuple(zip(range(1, m + 1), repeat(m)))
-
-
 def _flavor_of(region: CellRegion) -> str:
     if region.kind in ("shifted", "truncated_staircase"):
         return "shifted"
@@ -97,12 +89,14 @@ def _flavor_of(region: CellRegion) -> str:
 def _threshold_flavor(region: CellRegion) -> str | None:
     """The piece flavor of a region that threshold splitting accepts, or
     None for a region it refuses."""
-    full_staircase = _is_full_staircase(region)
-    if not (full_staircase or _is_full_rectangle(region)):
+    m = region.num_rows
+    staircase = region.rows == tuple(zip(range(1, m + 1), repeat(m)))
+    if not (staircase or region.rows == ((1, region.max_col),) * m):
         return None
     flavor = _flavor_of(region)
     if flavor == "auto":
-        flavor = "shifted" if full_staircase else "ordinary"
+        # an outline that is both (empty, or one cell) splits into shifted pieces
+        flavor = "shifted" if staircase else "ordinary"
     return flavor
 
 
@@ -368,13 +362,7 @@ def split_pivot(t: Tableau, pivot: Cell) -> SplitResult:
 
 def piece_shape(t: Tableau) -> Partition | StrictPartition:
     """Row-length partition of a plain (ordinary or shifted) piece."""
-    return _piece_shape(t.region)
-
-
-@lru_cache(maxsize=256)
-def _piece_shape(region: CellRegion) -> Partition | StrictPartition:
-    # pieces share their regions through the plans, so a histogram builds
-    # each shape once
+    region = t.region
     lengths = tuple(e - s + 1 for s, e in region.rows)
     if region.kind == "shifted":
         return StrictPartition(lengths)
@@ -387,12 +375,11 @@ def pivot_shape_histogram(
     region: CellRegion, pivot: Cell
 ) -> dict[tuple[Partition | StrictPartition, Partition | StrictPartition], int]:
     """Count split piece shape pairs over every tableau of ``region``."""
-    hist: dict = {}
+    hist: Counter = Counter()
     for t in enumerate_syt(region):
         parts = split_pivot(t, pivot)
-        key = (piece_shape(parts.first), piece_shape(parts.second))
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+        hist[piece_shape(parts.first), piece_shape(parts.second)] += 1
+    return dict(hist)
 
 
 @dataclass(frozen=True)

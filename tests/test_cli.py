@@ -408,12 +408,19 @@ class TestVerify:
         ("pivot-rect", "--mu", "1", "--k", "2", "--m", "1", "--n", "1"),
         ("conjecture", "--n", "3"),
     ]
+    # coefficients past the default int-to-str limit of 4,300 digits
+    LONG_COEFFICIENT = [
+        ("coeff-c", "--mu", "12000,6000", "--m", "2", "--t", "1"),
+        ("coeff-d", "--mu", "9000,4000", "--k", "2", "--m", "1", "--n", "1", "--t", "1"),
+    ]
 
-    @pytest.mark.parametrize("argv", PASSING, ids=lambda a: " ".join(a))
+    @pytest.mark.parametrize("argv", PASSING + LONG_COEFFICIENT, ids=lambda a: " ".join(a))
     def test_passing_instances(self, capsys, argv):
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert out.splitlines()[-1] == "PASS"
+        if argv in self.LONG_COEFFICIENT:
+            assert len(out.splitlines()[1].removeprefix("coefficient ")) > 4300
 
     def test_sum_shifted_single_t_sums_once(self, capsys, monkeypatch):
         calls = []
@@ -507,6 +514,18 @@ class TestVerify:
             lam, _, rest = line.removeprefix("FAIL at lam=").partition(": ")
             lhs, rhs = rest.split(" != ")
             assert lam in ("(2)", "(1,1)") and int(rhs) == 2 * int(lhs)
+
+    def test_coeff_failure_past_the_digit_limit_is_reported(self, capsys, monkeypatch):
+        real = cli.coeff_c
+        monkeypatch.setattr(cli, "coeff_c", lambda *v: real(*v).times(2))
+        code, out, _ = run(capsys, "verify", *self.LONG_COEFFICIENT[0])
+        assert code == 1
+        *_, fail, verdict = out.splitlines()
+        lhs, _, rhs = fail.removeprefix("FAIL at lam=(1): ").partition(" != ")
+        assert verdict == "FAIL" and lhs.isdigit() and rhs.isdigit()
+        assert 4300 < len(lhs) <= len(rhs) <= len(lhs) + 1
+        # int() refuses the whole numbers, so compare their last 50 digits
+        assert int(rhs[-50:]) == 2 * int(lhs[-50:]) % 10**50
 
 
 class TestBudget:

@@ -16,7 +16,6 @@ from sytcount.pivot import (
     _flavor_of,
     _layout,
     _piece_plan,
-    _piece_shape,
     _plain_region,
     _tiling,
     is_boundary_cell,
@@ -331,6 +330,20 @@ class TestPivotHistograms:
         region = build_region(descriptor)
         assert pivot_shape_histogram(region, pivot) == want
 
+    @pytest.mark.parametrize("descriptor", ["stair:5/2", "rect:3x4/2,1"])
+    def test_matches_the_reference_in_type_and_key_order(self, descriptor):
+        region = build_region(descriptor)
+        # most boundary pivots give a general piece, which both refuse
+        plain = 0
+        for pivot in filter(lambda c: is_boundary_cell(region, c), region.cells()):
+            got = outcome(pivot_shape_histogram, region, pivot)
+            want = outcome(reference_pivot_shape_histogram, region, pivot)
+            assert got == want, pivot
+            if isinstance(want, dict):
+                plain += 1
+                assert type(got) is dict and list(got) == list(want), pivot
+        assert plain > 0
+
 
 class TestPivotIdentities:
     STAIR_CASES = [
@@ -622,6 +635,16 @@ def reference_unsplit_threshold(split: SplitResult, region: CellRegion) -> Table
     return out
 
 
+def reference_pivot_shape_histogram(region: CellRegion, pivot: Cell) -> dict:
+    """The histogram loop as it was written before it used a Counter."""
+    hist: dict = {}
+    for t in enumerate_syt(region):
+        parts = split_pivot(t, pivot)
+        key = (piece_shape(parts.first), piece_shape(parts.second))
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 def outcome(fn, *args):
     """The value of ``fn(*args)``, or the class and message it raised."""
     try:
@@ -641,6 +664,8 @@ FULL_REGIONS = [
     shifted_region(StrictPartition((3,))),
     CellRegion(((1, 3), (1, 3))),
     CellRegion(((1, 3), (2, 3), (3, 3))),
+    # both a full rectangle and a full staircase: its pieces are shifted
+    CellRegion(((1, 1),)),
 ]
 # Truncated regions give pivot pieces with general outlines, some of which
 # keep a moved or reflected extra precedence.
@@ -823,7 +848,7 @@ class TestPlanCaches:
                         assert piece_shape(split.first).size == thresh
                         assert unsplit_threshold(split, region) == t
 
-        caches = (_layout, _piece_plan, _piece_shape, _tiling)
+        caches = (_layout, _piece_plan, _tiling)
         round_trips()
         misses = [cache.cache_info().misses for cache in caches]
         round_trips()
