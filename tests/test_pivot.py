@@ -287,7 +287,7 @@ class TestPivotSplit:
 
     def test_piece_shape_rejects_general(self):
         split = split_pivot(RECT58_T, (3, 5))
-        with pytest.raises(Exception):
+        with pytest.raises(ShapeError, match="^piece is not a plain diagram$"):
             piece_shape(split.first)
 
 
