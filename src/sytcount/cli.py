@@ -444,14 +444,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     region = parse_descriptor(args.shape).region()
     width = len(str(region.size))
-    first = True
-    for t in enumerate_syt(region, limit=args.limit):
-        if not first:
+    rows = [(" " * ((s - 1) * (width + 1)), cut)
+            for (s, _), cut in zip(region.rows, region.order.slices)]
+    for i, t in enumerate(enumerate_syt(region, limit=args.limit)):
+        if i:
             print()
-        first = False
-        for (s, _), row in zip(region.rows, t.rows):
-            indent = " " * ((s - 1) * (width + 1))
-            print(indent + " ".join(str(x).rjust(width) for x in row))
+        for indent, cut in rows:
+            print(indent + " ".join(str(x).rjust(width) for x in t.flat[cut]))
     return 0
 
 

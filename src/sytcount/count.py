@@ -18,7 +18,7 @@ cross-check share one backtracking walker, independent of both sweeps.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import factorial, inf, prod
 from operator import lt
 from typing import Iterator
@@ -275,22 +275,24 @@ def _line(rows, pairs) -> int:
     return sum(ways >> field * x & mask for x in range(length + 1))
 
 
-def _fillings(region: CellRegion) -> Iterator[list[list[int]]]:
-    """Yield the label grid of every standard filling of ``region``.
+def _fillings(region: CellRegion) -> Iterator[list[int]]:
+    """Yield the labels of every standard filling of ``region``, as one flat
+    list in the region's row-major order.
 
-    The grid holds one label list per region row.  At each step the next
-    label goes into the smallest eligible row index, backtracking
-    exhaustively with an explicit stack, so fillings come out sorted by the
-    sequence of row indices taken by labels 1..N.  The grid is the walker's
-    own: it changes as soon as the next filling is asked for.
+    At each step the next label goes into the smallest eligible row index,
+    backtracking exhaustively with an explicit stack, so fillings come out
+    sorted by the sequence of row indices taken by labels 1..N.  The list
+    is the walker's own: it changes as soon as the next filling is asked
+    for.
     """
     nrows = region.num_rows
-    grid: list[list[int]] = [[] for _ in range(nrows)]
     total = region.size
+    flat = [0] * total
     if total == 0:
-        yield grid
+        yield flat
         return
     lens = tuple(e - s + 1 for s, e in region.rows)
+    starts = tuple(accumulate(lens, initial=0))
     needs = _preconditions(region)
     fills = [0] * nrows
     taken: list[int] = []  # the row of each label placed so far
@@ -305,11 +307,11 @@ def _fillings(region: CellRegion) -> Iterator[list[list[int]]]:
                 else:
                     fills[row] = f + 1
                     taken.append(row)
-                    grid[row].append(len(taken))
+                    flat[starts[row] + f] = len(taken)
                     if len(taken) < total:
                         row = 0
                         continue
-                    yield grid
+                    yield flat
                     row = nrows  # a leaf: take its last label back
                     continue
             row += 1
@@ -317,7 +319,6 @@ def _fillings(region: CellRegion) -> Iterator[list[list[int]]]:
             # take the last label back and try the rows after its own
             row = taken.pop()
             fills[row] -= 1
-            grid[row].pop()
             row += 1
         else:
             return
@@ -342,8 +343,8 @@ def enumerate_syt(region: CellRegion, limit: int | None = None) -> Iterator[Tabl
     """
     if limit is not None and limit <= 0:
         return
-    for emitted, grid in enumerate(_fillings(region), start=1):
-        yield Tableau(region, grid)
+    for emitted, flat in enumerate(_fillings(region), start=1):
+        yield Tableau._of(region, tuple(flat))
         if emitted == limit:
             return
 
@@ -353,12 +354,11 @@ def is_valid_tableau(t: Tableau) -> bool:
 
     Raises :class:`LabelSetMismatch` when the labels are not exactly 1..N;
     returns False when the labels are right but some order is violated.
-    The region's order table gathers, from the row-major labels, both
-    sides of every covering pair (right neighbour, lower neighbour, extra
-    precedence); the filling is standard when each pair increases.
+    The region's order table gathers, from the tableau's row-major labels,
+    both sides of every covering pair (right neighbour, lower neighbour,
+    extra precedence); the filling is standard when each pair increases.
     """
-    order = t.region.order
-    flat = list(chain.from_iterable(t.rows))
+    order, flat = t.region.order, t.flat
     if sorted(flat) != order.labels:
         raise LabelSetMismatch(f"labels are not 1..{len(flat)}")
     return all(map(lt, order.lower(flat), order.upper(flat)))

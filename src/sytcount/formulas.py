@@ -25,6 +25,7 @@ from .shapes import (
     Partition,
     PartitionLike,
     StrictPartition,
+    _index_range,
     coerce_partition,
     coerce_strict,
     complement_in_rectangle,
@@ -140,9 +141,8 @@ def staircase_ratio(m: int) -> FactoredRatio:
     if m < 0:
         raise ValueError(f"staircase order must be nonnegative: {m}")
     big = m * (m + 1) // 2
-    return factorial_ratio(
-        [big] + list(range(m)), [2 * i + 1 for i in range(m)]
-    )
+    orders = _index_range(m, "staircase order")
+    return factorial_ratio([big, *orders], [2 * i + 1 for i in orders])
 
 
 def staircase_count(m: int) -> int:
@@ -159,7 +159,7 @@ def rectangle_ratio(m: int, n: int) -> FactoredRatio:
     if m < 0 or n < 0:
         raise ValueError(f"rectangle sides must be nonnegative: {m}x{n}")
     a, b = sorted((m, n))
-    return factorial_ratio([m * n, *range(a)], range(b, a + b))
+    return factorial_ratio([m * n, *_index_range(a, "rectangle side")], range(b, a + b))
 
 
 def rectangle_count(m: int, n: int) -> int:

@@ -8,19 +8,21 @@ anti-diagonal of the bounding box (the transpose and then the half-turn of
 the result is translated to standard position and classified as an
 ordinary, shifted, or general region.
 
-Splits work on flat label lists laid out by the region's order table
-(``CellRegion.order``): the low piece reads the labels in row-major order,
-the high piece in the table's reflection order, where each column is one
-reflected row.  A byte flag per cell marks the labels a piece keeps.
-Everything else about the piece (which rows it keeps, the slice of the
-list that fills each row, its region in standard position, or the error
-the flags raise) depends on the region and the flags alone, so it is
-worked out once as an outline plan and kept in a bounded cache.  Where a
-reassembly puts each label, or that the pieces fall outside the region or
-overlap, depends on the three regions alone and is kept the same way as a
-tiling plan.  The region facts both plans read are computed once per
-region.  Every piece and every reassembled tableau still goes through
-``is_valid_tableau``, and every error is raised afresh.
+Splits work on a tableau's flat labels, in the row-major order of the
+region's order table (``CellRegion.order``).  The low piece reads its
+cells in that order, the high piece in the table's reflection order, where
+each column is one reflected row.  A byte flag per cell, in row-major
+order, marks the labels a piece keeps.  Everything else about the piece
+(which rows it keeps, the one gather that takes its flat labels from the
+tableau's, its region in standard position, or the error the flags raise)
+depends on the region and the flags alone, so it is worked out once as an
+outline plan and kept in a bounded cache.  Where a reassembly puts each
+label (one gather over the two pieces' flat labels), or that the pieces
+fall outside the region or overlap, depends on the three regions alone
+and is kept the same way as a tiling plan.  The region facts both plans
+read are computed once per region.  Every piece and every reassembled
+tableau still goes through ``is_valid_tableau``, and every error is raised
+afresh.
 
 ``split_threshold`` cuts a full rectangle or full shifted staircase at a
 fixed label and is invertible (``unsplit_threshold``).  ``split_pivot``
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 
 from .count import count_syt, enumerate_syt, is_valid_tableau
 from .formulas import _rect_prefix, _stair_prefix, rect_pair_terms, stair_pair_terms
@@ -117,10 +119,11 @@ def _reflected_segments(order: OrderTable, height: int, width: int) -> _Segments
     )
 
 
-# One side of a region's splits over its flat label list, read in row-major
-# order (low) or reflection order (high): the rows' segments, and each extra
-# precedence as its two cells' list positions and side coordinates.
-_Side = tuple[_Segments, tuple[tuple[int, int, Cell, Cell], ...]]
+# One side of a region's splits, read in row-major order (low) or reflection
+# order (high): the rows' segments, each extra precedence as its two cells'
+# places in that order and side coordinates, and the row-major position of
+# each place.
+_Side = tuple[_Segments, tuple[tuple[int, int, Cell, Cell], ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,18 +143,20 @@ def _layout(region: CellRegion) -> _Layout:
     most recently split or reassembled."""
     order = region.order
     nrows, ncols = region.num_rows, region.max_col
+    reflected_at = order.reflect(range(region.size))
     # the place of each row-major position in the reflection order
-    at = {i: j for j, i in enumerate(order.reflect(range(region.size)))}
+    at = {i: j for j, i in enumerate(reflected_at)}
     extra = list(region.extra_precedences)
     pairs = [(order.index[a], order.index[b], a, b) for a, b in extra]
     reflected = _oriented_pairs(extra, nrows, ncols, transpose=True, turn=True)
     return _Layout(
         region,
         _threshold_flavor(region),
-        (order.rows, tuple(pairs)),
+        (order.rows, tuple(pairs), tuple(range(region.size))),
         (
             _reflected_segments(order, nrows, ncols),
             tuple((at[j], at[i], *pair) for (i, j, _, _), pair in zip(pairs, reflected)),
+            reflected_at,
         ),
     )
 
@@ -187,19 +192,20 @@ def _plain_region(flavor: str, intervals: tuple[Interval, ...]) -> CellRegion | 
 @lru_cache(maxsize=1024)
 def _piece_plan(
     layout: _Layout, high: bool, flavor: str, keep: bytes
-) -> tuple[CellRegion, tuple[slice, ...]] | str:
-    """The outline of the piece that ``keep`` flags on the low or high side
-    of ``layout``'s region: its region in standard position and the slice
-    of the flat list that fills each of its rows, or the message of the
-    ShapeError it raises.
+) -> tuple[CellRegion, Gather] | str:
+    """The outline of the piece whose cells ``keep`` flags in row-major
+    order, read on the low or high side of ``layout``'s region: its region
+    in standard position and the gather that takes its flat labels from the
+    region's, or the message of the ShapeError it raises.
 
     Every split of the region that keeps the same cells shares this plan.
     The region is ordinary or shifted as far as ``flavor`` allows, and else
     general with the extra precedences among the kept cells moved along.
     """
-    segments, pairs = layout.high if high else layout.low
+    segments, pairs, places = layout.high if high else layout.low
+    keep = bytes(map(keep.__getitem__, places))  # the flags in the side's order
     top = broken = None
-    intervals, slices = [], []
+    intervals, kept = [], []
     for r, s, lo, hi in segments:
         first = keep.find(1, lo, hi)
         if first < 0:
@@ -210,11 +216,11 @@ def _piece_plan(
         if broken is None and keep.find(0, first, last) >= 0:
             broken = r
         intervals.append((s + first - lo, s + last - lo))
-        slices.append(slice(first, last + 1))
+        kept += places[first : last + 1]
         bottom = r
     if top is None:
-        return _plain_region(flavor, ()), ()
-    if bottom - top + 1 != len(slices):
+        return _plain_region(flavor, ()), _gather(())
+    if bottom - top + 1 != len(intervals):
         return "piece has a gap between rows"
     if broken is not None:
         return f"piece row {broken} is not contiguous"
@@ -233,11 +239,11 @@ def _piece_plan(
             region = CellRegion(tuple(intervals), moved_pairs, "general")
         except ShapeError as exc:
             return str(exc)
-    return region, tuple(slices)
+    return region, _gather(kept)
 
 
 def _piece(
-    layout: _Layout, high: bool, flavor: str, labels: list[int], keep: bytes
+    layout: _Layout, high: bool, flavor: str, labels: tuple[int, ...] | list[int], keep: bytes
 ) -> Tableau:
     """The standalone tableau of the cells that ``keep`` flags; a failed
     validity check means the cells did not come from a split of a standard
@@ -245,8 +251,8 @@ def _piece(
     plan = _piece_plan(layout, high, flavor, keep)
     if isinstance(plan, str):
         raise ShapeError(plan)
-    region, slices = plan
-    piece = Tableau(region, [labels[s] for s in slices])
+    region, gather = plan
+    piece = Tableau._of(region, gather(labels))
     if not is_valid_tableau(piece):
         raise ShapeError("split produced an invalid filling")
     return piece
@@ -257,14 +263,14 @@ def _split(
 ) -> tuple[Tableau, Tableau]:
     """The piece of labels up to ``low_bound`` and the renumbered reflection
     of the labels above ``high_bound``."""
-    labels = list(chain.from_iterable(t.rows))
+    labels = t.flat
     total = len(labels)
-    reflected = [total + 1 - lbl for lbl in t.region.order.reflect(labels)]
+    renumbered = [total + 1 - lbl for lbl in labels]
     # a label above ``high_bound`` is at most ``total - high_bound`` once renumbered
     top = total - high_bound
     return (
         _piece(layout, False, flavor, labels, bytes([lbl <= low_bound for lbl in labels])),
-        _piece(layout, True, flavor, reflected, bytes([lbl <= top for lbl in reflected])),
+        _piece(layout, True, flavor, renumbered, bytes([lbl <= top for lbl in renumbered])),
     )
 
 
@@ -283,13 +289,10 @@ def split_threshold(t: Tableau, thresh: int) -> SplitResult:
 
 
 @lru_cache(maxsize=512)
-def _tiling(
-    layout: _Layout, low: CellRegion, high: CellRegion
-) -> tuple[Gather, ...] | None:
-    """Where a reassembly into ``layout``'s region puts each label: one
-    gather per region row over the low piece's labels in row-major order
-    followed by the high piece's, or None when the pieces do not tile the
-    region."""
+def _tiling(layout: _Layout, low: CellRegion, high: CellRegion) -> Gather | None:
+    """Where a reassembly into ``layout``'s region puts each label: the
+    gather of the region's flat labels from the low piece's followed by the
+    high piece's, or None when the pieces do not tile the region."""
     region = layout.region
     index = region.order.index
     n = low.size
@@ -310,7 +313,7 @@ def _tiling(
     # it, so an overlap leaves a slot empty.
     if None in slots:
         return None
-    return tuple(_gather(slots[lo:hi]) for _, _, lo, hi in region.order.rows)
+    return _gather(slots)
 
 
 def unsplit_threshold(split: SplitResult, region: CellRegion) -> Tableau:
@@ -325,12 +328,12 @@ def unsplit_threshold(split: SplitResult, region: CellRegion) -> Tableau:
     low, high = split.first, split.second
     if low.size != split.t or high.size != total - split.t:
         raise IncompatibleShapes("piece sizes do not match the threshold")
-    rows = _tiling(layout, low.region, high.region)
-    if rows is None:
+    tiling = _tiling(layout, low.region, high.region)
+    if tiling is None:
         raise IncompatibleShapes("pieces do not tile the region")
-    labels = list(chain.from_iterable(low.rows))
-    labels += [total + 1 - lbl for lbl in chain.from_iterable(high.rows)]
-    out = Tableau(region, [row(labels) for row in rows])
+    labels = list(low.flat)
+    labels += [total + 1 - lbl for lbl in high.flat]
+    out = Tableau._of(region, tiling(labels))
     if not is_valid_tableau(out):
         raise IncompatibleShapes("pieces tile the region but break the order")
     return out

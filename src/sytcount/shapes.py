@@ -12,9 +12,10 @@ for ``rotate180``, the line kernel in ``count`` and the splits in ``pivot``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import add, itemgetter, le, lt
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
 
@@ -41,6 +42,18 @@ class InvalidTruncation(ShapeError):
 
 class InvalidSpec(ShapeError):
     """Unparseable shape descriptor string."""
+
+
+class TooLarge(ValueError):
+    """A size past the longest sequence Python can build."""
+
+
+def _index_range(n: int, what: str) -> range:
+    """``range(n)``, or :class:`TooLarge` naming ``what`` where a list of
+    ``n`` items would raise ``OverflowError``."""
+    if n > sys.maxsize:
+        raise TooLarge(f"{what} is too large to count: {n}")
+    return range(n)
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,7 @@ def staircase(m: int) -> StrictPartition:
     """The strict partition ``(m, m-1, ..., 1)``."""
     if m < 0:
         raise ShapeError(f"staircase order must be nonnegative: {m}")
-    return StrictPartition(tuple(range(m, 0, -1)))
+    return StrictPartition(tuple(map(m.__sub__, _index_range(m, "staircase order"))))
 
 
 def complement_in_staircase(lam: PartitionLike, m: int) -> StrictPartition:
@@ -261,7 +274,8 @@ class OrderTable:
     """A region's order relation, read off its cells in row-major order.
 
     A filling is listed row by row as one flat label sequence; ``rows``
-    holds each row as (row, first column, start, stop) of its slice.
+    holds each row as (row, first column, start, stop) of its slice, and
+    ``slices`` the slices themselves.
     ``lower`` and ``upper`` gather from the sequence the two sides of every
     covering pair (right neighbour, lower neighbour, extra precedence), so
     a filling keeps the order exactly when each gathered lower label is
@@ -275,6 +289,7 @@ class OrderTable:
     lengths: tuple[int, ...]
     labels: list[int]  # 1..N, what a standard filling's sorted labels equal
     rows: tuple[tuple[int, int, int, int], ...]
+    slices: tuple[slice, ...]
     lower: Gather
     upper: Gather
     reflect: Gather
@@ -358,16 +373,16 @@ class CellRegion:
         lengths = tuple(e - s + 1 for s, e in self.rows)
         row_starts = accumulate(lengths, initial=0)
         col_starts = accumulate((len(col) for _, col in columns), initial=0)
+        rows = tuple(
+            (r, s, lo, lo + n)
+            for r, ((s, _), n, lo) in enumerate(zip(self.rows, lengths, row_starts), start=1)
+        )
         return OrderTable(
             index,
             lengths,
             list(range(1, len(index) + 1)),
-            tuple(
-                (r, s, lo, lo + n)
-                for r, ((s, _), n, lo) in enumerate(
-                    zip(self.rows, lengths, row_starts), start=1
-                )
-            ),
+            rows,
+            tuple(slice(lo, hi) for _, _, lo, hi in rows),
             _gather([a for a, _ in pairs]),
             _gather([b for _, b in pairs]),
             _gather([i for _, col in columns for _, i in reversed(col)]),
@@ -585,31 +600,56 @@ def build_region(descriptor: str) -> CellRegion:
     return parse_descriptor(descriptor).region()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Tableau:
-    """A filling of a region, stored as one label tuple per region row.
+    """A filling of a region, stored as one flat label tuple in the
+    region's row-major order (``region.order``); ``rows`` is read off it.
 
-    Rows may be given as any iterables; they are stored as tuples, and
-    labels as given.
+    Rows may be given as any iterables; labels are kept as given.  A
+    tableau is immutable.  (``frozen=True`` would do that, but with slots
+    its ``__setattr__`` raises ``TypeError`` for a name that is no field.)
     """
 
     region: CellRegion
-    rows: tuple[tuple[int, ...], ...]
+    flat: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
-        if tuple(map(len, rows)) != self.region.order.lengths:
-            if len(rows) != self.region.num_rows:
+    def __init__(self, region: CellRegion, rows: Iterable[Iterable[int]]) -> None:
+        rows = tuple(map(tuple, rows))
+        if tuple(map(len, rows)) != region.order.lengths:
+            if len(rows) != region.num_rows:
                 raise ShapeError("row count does not match the region")
             raise ShapeError("row length does not match the region")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "flat", tuple(chain.from_iterable(rows)))
+
+    @classmethod
+    def _of(cls, region: CellRegion, flat: tuple[int, ...]) -> "Tableau":
+        """The tableau of ``region`` whose row-major labels are ``flat``,
+        taken as they are: the caller vouches for the length."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "region", region)
+        object.__setattr__(t, "flat", flat)
+        return t
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([self.flat[cut] for cut in self.region.order.slices])
 
     @property
     def size(self) -> int:
         return self.region.size
 
     def label_at(self, r: int, c: int) -> int:
-        if (r, c) not in self.region:
+        i = self.region.order.index.get((r, c))
+        if i is None:
             raise ShapeError(f"{(r, c)} is not a cell of the region")
-        s, _ = self.region.rows[r - 1]
-        return self.rows[r - 1][c - s]
+        return self.flat[i]
+
+    def __reduce__(self):  # copy and pickle rebuild through _of, not __setattr__
+        return Tableau._of, (self.region, self.flat)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Tableau is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a Tableau is immutable")

@@ -31,6 +31,7 @@ from .shapes import (
     PartitionLike,
     ShapeDescriptor,
     StrictPartition,
+    _index_range,
     outline_size,
     staircase,
     truncated_rectangle_region,
@@ -188,7 +189,7 @@ def stair_minus_corner_ratio(m: int) -> FactoredRatio:
     FAMILIES["stair-corner"].check(m)
     top = (m + 3) * (m + 6) // 2
     return factorial_ratio(
-        [top] + list(range(m)), [4 * m + 9] + [2 * i + 1 for i in range(m)]
+        [top, *_index_range(m, "m")], [4 * m + 9] + [2 * i + 1 for i in range(m)]
     ).times(4, 2 * m + 3).over(m + 3)
 
 
@@ -206,7 +207,7 @@ def stair_minus_substaircase2_ratio(m: int) -> FactoredRatio:
         raise ValueError(f"m must be nonnegative, got {m}")
     top = (m + 2) * (m + 7) // 2
     return factorial_ratio(
-        [top] + list(range(m)), [4 * m + 7] + [2 * i + 1 for i in range(m)]
+        [top, *_index_range(m, "m")], [4 * m + 7] + [2 * i + 1 for i in range(m)]
     ).times(2).over(m + 2)
 
 
@@ -223,7 +224,7 @@ def rect_minus_square_plus1_ratio(m: int, n: int, k: int) -> FactoredRatio:
     FAMILIES["rect-sq+1"].check(m, n, k)
     top = m * n + (m + n) * k + 1
     return factorial_ratio(
-        [top, m * k, n * k] + list(range(m)) + list(range(n)) + list(range(k)),
+        [top, m * k, n * k, *_index_range(m, "m"), *_index_range(n, "n"), *_index_range(k, "k")],
         [(m + n) * k + 1] + list(range(m + n + k)),
     )
 
@@ -241,8 +242,8 @@ def rect_minus_square_ratio(m: int, n: int, k: int) -> FactoredRatio:
     FAMILIES["rect-sq"].check(m, n, k)
     top = m * n + (m + n) * k + 2 * k - 1
     return factorial_ratio(
-        [top, m * k + k - 1, n * k + k - 1, m + n + 1]
-        + list(range(m)) + list(range(n)) + list(range(k - 1)),
+        [top, m * k + k - 1, n * k + k - 1, m + n + 1,
+         *_index_range(m, "m"), *_index_range(n, "n"), *_index_range(k - 1, "k - 1")],
         [(m + n) * k + 2 * k - 1] + list(range(m + n + k + 1)),
     ).times(k)
 
@@ -261,7 +262,7 @@ def rect_minus_corner_ratio(m: int, n: int) -> FactoredRatio:
     FAMILIES["rect-corner"].check(m, n)
     top = m * n + 2 * m + 2 * n + 3
     return factorial_ratio(
-        [top, 2 * m + 1, 2 * n + 1] + list(range(m)) + list(range(n)),
+        [top, 2 * m + 1, 2 * n + 1, *_index_range(m, "m"), *_index_range(n, "n")],
         [2 * m + 2 * n + 3] + list(range(m + n + 2)),
     ).times(2).over(m + n + 2)
 
@@ -282,7 +283,7 @@ def conjecture_square_minus_two_ratio(n: int) -> FactoredRatio:
     """
     FAMILIES["square-minus-two"].check(n)
     return factorial_ratio(
-        [n * n - 2, 3 * n - 4, 3 * n - 4] + 2 * list(range(n - 2)),
+        [n * n - 2, 3 * n - 4, 3 * n - 4] + 2 * [*_index_range(n - 2, "n - 2")],
         [6 * n - 8, 2 * n - 2, n - 2, n - 2] + list(range(2 * n - 4)),
     ).times(6)
 

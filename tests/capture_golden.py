@@ -203,6 +203,13 @@ PARTITION_ERRORS = [
     ("verify", "coeff-c", "--mu", "5,-1", "--m", "1", "--t", "0"),
 ]
 
+# Orders past the longest list Python can build.
+TOO_LARGE = [
+    ("count", "stair:" + str(10**19)),
+    ("verify", "sum-shifted", "--m", str(10**19), "--t", "1"),
+    ("verify", "sum-shifted", "--m", "9" * 3000, "--t", "1"),
+]
+
 
 def commands() -> list[tuple[tuple[str, ...], dict[str, str]]]:
     cmds: list[tuple[tuple[str, ...], dict[str, str]]] = []
@@ -220,7 +227,7 @@ def commands() -> list[tuple[tuple[str, ...], dict[str, str]]]:
     cmds.append((("verify", "conjecture", "--n", "7"), {BUDGET_ENV: "47"}))
     cmds.append((("verify", "conjecture", "--n", "3"), {BUDGET_ENV: "many"}))
     cmds += [(("verify",) + argv, {}) for argv in VERIFIES]
-    cmds += [(argv, {}) for argv in ENUMERATES + OTHER + PARTITION_ERRORS]
+    cmds += [(argv, {}) for argv in ENUMERATES + OTHER + PARTITION_ERRORS + TOO_LARGE]
     return cmds
 
 

@@ -166,6 +166,11 @@ def run(argv):
 # A box a thousand rows tall: the partition walk keeps no frame per part.
 @example(["verify", "sum-rect", "--m", "1000", "--n", "1", "--t", "1000"])
 @example(["verify", "coeff-d", "--mu", "0", "--k", "1", "--m", "1000", "--n", "1", "--t", "1000"])
+# An order past the longest list Python can build: one exit-2 line, not an
+# OverflowError from the factorial arguments.
+@example(["count", "stair:" + str(10**19)])
+@example(["verify", "sum-shifted", "--m", str(10**19), "--t", "1"])
+@example(["verify", "sum-shifted", "--m", "9" * 3000, "--t", "1"])
 def test_every_argv_ends_in_an_answer_or_one_error_line(argv):
     code, _, err = run(argv)
     assert code in (0, 1, 2), (argv, code)

@@ -856,3 +856,53 @@ class TestPlanCaches:
             info = cache.cache_info()
             assert info.currsize <= info.maxsize
             assert info.misses == before, cache.__name__
+
+
+class TestFlatLabels:
+    """Pieces and reassemblies carry flat labels; both checks still run on
+    each, whatever the cached plans hand them."""
+
+    @pytest.mark.parametrize("t", [STAIR5_T, RECT58_T])
+    def test_results_equal_and_hash_as_tableaux_built_from_their_rows(self, t):
+        results = [split_pivot(t, (3, 5))] if t is RECT58_T else [
+            split_threshold(t, thresh) for thresh in range(t.size + 1)
+        ]
+        for split in results:
+            for piece in (split.first, split.second):
+                built = Tableau(piece.region, piece.rows)
+                assert piece == built and hash(piece) == hash(built)
+                assert type(piece.flat) is tuple
+                assert piece.flat == tuple(chain.from_iterable(piece.rows))
+            if t is STAIR5_T:
+                out = unsplit_threshold(split, STAIR5)
+                assert out == t and hash(out) == hash(t)
+                assert out.rows == t.rows and type(out.flat) is tuple
+
+    @staticmethod
+    def _reversed(gather):
+        return lambda labels: gather(labels)[::-1]
+
+    @pytest.mark.parametrize("thresh", [2, 7, 13])
+    def test_a_plan_that_misplaces_labels_is_caught(self, monkeypatch, thresh):
+        # Each piece of these splits holds at least two cells, so its labels
+        # read backwards are still 1..size but no longer standard.
+        real = _piece_plan
+
+        def misplacing(*key):
+            region, gather = real(*key)
+            return region, self._reversed(gather)
+
+        monkeypatch.setattr("sytcount.pivot._piece_plan", misplacing)
+        with pytest.raises(ShapeError, match="^split produced an invalid filling$"):
+            split_threshold(STAIR5_T, thresh)
+        with pytest.raises(ShapeError, match="^split produced an invalid filling$"):
+            split_pivot(RECT58_T, (3, 5))
+
+    def test_a_tiling_that_misplaces_labels_is_caught(self, monkeypatch):
+        split = split_threshold(STAIR5_T, 7)
+        real = _tiling
+        monkeypatch.setattr(
+            "sytcount.pivot._tiling", lambda *key: self._reversed(real(*key))
+        )
+        with pytest.raises(IncompatibleShapes, match="pieces tile the region but break the order"):
+            unsplit_threshold(split, STAIR5)

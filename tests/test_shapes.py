@@ -1,5 +1,7 @@
 """Partition operations, region builders, and the descriptor grammar."""
 
+import copy
+import pickle
 import re
 import sys
 from itertools import combinations
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sytcount import shapes
+from sytcount.count import enumerate_syt
 from sytcount.shapes import (
     CellRegion,
     InvalidSpec,
@@ -476,3 +479,23 @@ class TestTableau:
         with pytest.raises(ShapeError, match="row length does not match"):
             Tableau(region, ((1, 2, 4), (3,), (5, 6)))
         assert Tableau(CellRegion(()), ()).rows == ()
+
+    def test_labels_are_kept_once_in_row_major_order(self):
+        region = build_region("rect:3x4/2,1")
+        rows = ((1, 2), (3, 5, 7), (4, 6, 8, 9))
+        t = Tableau(region, [list(row) for row in rows])
+        assert t.flat == (1, 2, 3, 5, 7, 4, 6, 8, 9) and type(t.flat) is tuple
+        assert t.rows == rows
+        assert [t.label_at(*cell) for cell in region.cells()] == list(t.flat)
+        with pytest.raises(AttributeError):
+            t.flat = ()
+        with pytest.raises(AttributeError):
+            t.rows = rows
+        with pytest.raises(AttributeError):
+            del t.region
+
+    def test_copies_and_pickles_are_equal_tableaux(self):
+        t = next(enumerate_syt(build_region("stair:4/1")))
+        for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(other) is Tableau and other == t and hash(other) == hash(t)
+            assert other.rows == t.rows

@@ -1,5 +1,8 @@
 """Summation theorems and closed forms for the truncated families."""
 
+import re
+import sys
+
 import pytest
 
 from sytcount.cli import NoFormulaAvailable, resolve
@@ -8,8 +11,10 @@ from sytcount.formulas import (
     PartTooSmall,
     rect_pair_terms,
     rectangle_count,
+    rectangle_ratio,
     stair_pair_terms,
     staircase_count,
+    staircase_ratio,
 )
 from sytcount.pivot import (
     pivot_shape_histogram,
@@ -19,8 +24,10 @@ from sytcount.pivot import (
 from sytcount.shapes import (
     Partition,
     StrictPartition,
+    TooLarge,
     parse_descriptor,
     partitions_in_box,
+    staircase,
 )
 from sytcount.truncated import (
     FAMILIES,
@@ -441,6 +448,38 @@ class TestFamilyTable:
             seen += 1
         assert seen >= 4
 
+
+
+class TestOrdersPastAnyList:
+    """A size past the longest list Python can build raises ``TooLarge``, a
+    ValueError that names it, where a factorial list of that length would
+    raise ``OverflowError``."""
+
+    BIG = sys.maxsize + 1
+
+    @pytest.mark.parametrize(
+        "ratio, args, message",
+        [
+            (staircase_ratio, (BIG,), f"staircase order is too large to count: {BIG}"),
+            (rectangle_ratio, (BIG, BIG + 1), f"rectangle side is too large to count: {BIG}"),
+            (staircase, (BIG,), f"staircase order is too large to count: {BIG}"),
+            (FAMILIES["stair-corner"].ratio, (BIG,), f"m is too large to count: {BIG}"),
+            (FAMILIES["rect-corner"].ratio, (1, BIG), f"n is too large to count: {BIG}"),
+            (FAMILIES["rect-sq"].ratio, (0, 0, BIG + 1), f"k - 1 is too large to count: {BIG}"),
+            (FAMILIES["rect-sq+1"].ratio, (1, BIG, 1), f"n is too large to count: {BIG}"),
+            (FAMILIES["square-minus-two"].ratio, (BIG + 2,), f"n - 2 is too large to count: {BIG}"),
+        ],
+    )
+    def test_raises_too_large_naming_the_size(self, ratio, args, message):
+        with pytest.raises(TooLarge, match=f"^{re.escape(message)}$"):
+            ratio(*args)
+        assert issubclass(TooLarge, ValueError)
+
+    def test_the_longest_list_still_counts_where_it_is_small(self):
+        assert staircase_ratio(3).to_integer() == 2
+        assert FAMILIES["rect-sq+1"].ratio(1, 1, 1).to_integer() == count_syt(
+            FAMILIES["rect-sq+1"].region(1, 1, 1)
+        )
 
 def split_histograms(family, params):
     """Piece shape pairs over the tableaux split at the table's pivot cell,
