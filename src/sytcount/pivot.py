@@ -121,8 +121,8 @@ def _reflected_segments(order: OrderTable, height: int, width: int) -> _Segments
 
 # One side of a region's splits, read in row-major order (low) or reflection
 # order (high): the rows' segments, each extra precedence as its two cells'
-# places in that order and side coordinates, and the row-major position of
-# each place.
+# row-major positions and side coordinates, and the row-major position of
+# each place in the side's order.
 _Side = tuple[_Segments, tuple[tuple[int, int, Cell, Cell], ...], tuple[int, ...]]
 
 
@@ -143,9 +143,6 @@ def _layout(region: CellRegion) -> _Layout:
     most recently split or reassembled."""
     order = region.order
     nrows, ncols = region.num_rows, region.max_col
-    reflected_at = order.reflect(range(region.size))
-    # the place of each row-major position in the reflection order
-    at = {i: j for j, i in enumerate(reflected_at)}
     extra = list(region.extra_precedences)
     pairs = [(order.index[a], order.index[b], a, b) for a, b in extra]
     reflected = _oriented_pairs(extra, nrows, ncols, transpose=True, turn=True)
@@ -155,8 +152,8 @@ def _layout(region: CellRegion) -> _Layout:
         (order.rows, tuple(pairs), tuple(range(region.size))),
         (
             _reflected_segments(order, nrows, ncols),
-            tuple((at[j], at[i], *pair) for (i, j, _, _), pair in zip(pairs, reflected)),
-            reflected_at,
+            tuple((i, j, *pair) for (i, j, _, _), pair in zip(pairs, reflected)),
+            order.reflect(range(region.size)),
         ),
     )
 
@@ -203,17 +200,17 @@ def _piece_plan(
     general with the extra precedences among the kept cells moved along.
     """
     segments, pairs, places = layout.high if high else layout.low
-    keep = bytes(map(keep.__getitem__, places))  # the flags in the side's order
+    flags = bytes(map(keep.__getitem__, places))  # in the side's order
     top = broken = None
     intervals, kept = [], []
     for r, s, lo, hi in segments:
-        first = keep.find(1, lo, hi)
+        first = flags.find(1, lo, hi)
         if first < 0:
             continue
-        last = keep.rfind(1, lo, hi)
+        last = flags.rfind(1, lo, hi)
         if top is None:
             top = r
-        if broken is None and keep.find(0, first, last) >= 0:
+        if broken is None and flags.find(0, first, last) >= 0:
             broken = r
         intervals.append((s + first - lo, s + last - lo))
         kept += places[first : last + 1]
