@@ -444,13 +444,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     region = parse_descriptor(args.shape).region()
     width = len(str(region.size))
-    rows = [(" " * ((s - 1) * (width + 1)), cut)
-            for (s, _), cut in zip(region.rows, region.order.slices)]
+    rows = [(" " * ((s - 1) * (width + 1)), lo, hi) for _, s, lo, hi in region.order.rows]
     for i, t in enumerate(enumerate_syt(region, limit=args.limit)):
         if i:
             print()
-        for indent, cut in rows:
-            print(indent + " ".join(str(x).rjust(width) for x in t.flat[cut]))
+        for indent, lo, hi in rows:
+            print(indent + " ".join(str(x).rjust(width) for x in t.flat[lo:hi]))
     return 0
 
 

@@ -31,27 +31,20 @@ class LabelSetMismatch(ValueError):
 
 
 def _preconditions(region: CellRegion):
-    # needs[i][f]: requirements for filling the (f+1)-th cell of row i+1,
-    # as (other_row_index, minimum_fill) pairs.  Left-neighbor order is
-    # implicit in the prefix representation.
-    rows = region.rows
+    # needs[p]: requirements for filling the cell at row-major position p,
+    # as (other_row_index, position) pairs: that row must be filled past
+    # the position.  Left-neighbor order is implicit in the prefix
+    # representation.
+    index = region.order.index
     sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for src, dst in region.extra_precedences:
         sources.setdefault(dst, []).append(src)
     needs = []
-    for i, (s, e) in enumerate(rows):
-        per_fill = []
-        for f in range(e - s + 1):
-            c = s + f
-            req = []
-            if i > 0:
-                s0, e0 = rows[i - 1]
-                if s0 <= c <= e0:
-                    req.append((i - 1, c - s0 + 1))
-            for sr, sc in sorted(sources.get((i + 1, c), ())):
-                req.append((sr - 1, sc - rows[sr - 1][0] + 1))
-            per_fill.append(tuple(req))
-        needs.append(tuple(per_fill))
+    for r, c in index:
+        before = sorted(sources.get((r, c), ()))
+        if (r - 1, c) in index:
+            before.insert(0, (r - 1, c))
+        needs.append(tuple((sr - 1, index[sr, sc] + 1) for sr, sc in before))
     return tuple(needs)
 
 
@@ -291,23 +284,23 @@ def _fillings(region: CellRegion) -> Iterator[list[int]]:
     if total == 0:
         yield flat
         return
-    lens = tuple(e - s + 1 for s, e in region.rows)
-    starts = tuple(accumulate(lens, initial=0))
+    rows = region.order.rows
+    stops = [hi for _, _, _, hi in rows]
     needs = _preconditions(region)
-    fills = [0] * nrows
+    fills = [lo for _, _, lo, _ in rows]  # the next position to fill in each row
     taken: list[int] = []  # the row of each label placed so far
     row = 0
     while True:
         if row < nrows:
-            f = fills[row]
-            if f < lens[row]:
-                for j, need in needs[row][f]:
+            p = fills[row]
+            if p < stops[row]:
+                for j, need in needs[p]:
                     if fills[j] < need:
                         break
                 else:
-                    fills[row] = f + 1
+                    fills[row] = p + 1
                     taken.append(row)
-                    flat[starts[row] + f] = len(taken)
+                    flat[p] = len(taken)
                     if len(taken) < total:
                         row = 0
                         continue

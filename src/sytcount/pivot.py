@@ -10,19 +10,20 @@ ordinary, shifted, or general region.
 
 Splits work on a tableau's flat labels, in the row-major order of the
 region's order table (``CellRegion.order``).  The low piece reads its
-cells in that order, the high piece in the table's reflection order, where
-each column is one reflected row.  A byte flag per cell, in row-major
-order, marks the labels a piece keeps.  Everything else about the piece
-(which rows it keeps, the one gather that takes its flat labels from the
-tableau's, its region in standard position, or the error the flags raise)
-depends on the region and the flags alone, so it is worked out once as an
-outline plan and kept in a bounded cache.  Where a reassembly puts each
-label (one gather over the two pieces' flat labels), or that the pieces
-fall outside the region or overlap, depends on the three regions alone
-and is kept the same way as a tiling plan.  The region facts both plans
-read are computed once per region.  Every piece and every reassembled
-tableau still goes through ``is_valid_tableau``, and every error is raised
-afresh.
+cells in that order, the high piece in reflection order, where each column
+is one reflected row; ``_reflection`` reads that order off the table's
+cell index once per outline, as a plan is built.  A byte flag per cell, in
+row-major order, marks the labels a piece keeps.  Everything else about
+the piece (which rows it keeps, the one gather that takes its flat labels
+from the tableau's, its region in standard position, or the error the
+flags raise) depends on the region and the flags alone, so it is worked
+out once as an outline plan and kept in a bounded cache.  Where a
+reassembly puts each label (one gather over the two pieces' flat labels),
+or that the pieces fall outside the region or overlap, depends on the
+three regions alone and is kept the same way as a tiling plan.  The region
+facts both plans read are computed once per region.  Every piece and every
+reassembled tableau still goes through ``is_valid_tableau``, and every
+error is raised afresh.
 
 ``split_threshold`` cuts a full rectangle or full shifted staircase at a
 fixed label and is invertible (``unsplit_threshold``).  ``split_pivot``
@@ -45,7 +46,6 @@ from .shapes import (
     CellRegion,
     Gather,
     Interval,
-    OrderTable,
     Partition,
     PartitionLike,
     ShapeError,
@@ -107,16 +107,25 @@ def _threshold_flavor(region: CellRegion) -> str | None:
 _Segments = tuple[tuple[int, int, int, int], ...]
 
 
-def _reflected_segments(order: OrderTable, height: int, width: int) -> _Segments:
-    """The rows of the reflection of an outline across the anti-diagonal of
-    a ``height x width`` box, over its labels in reflection order: ``(r,
-    c)`` goes to ``(width + 1 - c, height + 1 - r)``."""
-    # The reflection order lists the labels column by column, right to left
-    # and bottom-up, so each column is one reflected row.
-    return tuple(
-        (width + 1 - c, height + 1 - bottom, lo, hi)
-        for c, bottom, lo, hi in order.columns
-    )
+def _reflection(
+    region: CellRegion, height: int, width: int
+) -> tuple[tuple[int, ...], _Segments]:
+    """The reflection of ``region`` across the anti-diagonal of a ``height x
+    width`` box, ``(r, c)`` to ``(width + 1 - c, height + 1 - r)``: the
+    region's flat positions in reflection order (the reflection's row-major
+    order) and the reflected rows' segments over them."""
+    # Reflection order lists the cells column by column, right to left and
+    # bottom-up, so each column of the region is one reflected row.
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for (r, c), i in region.order.index.items():
+        columns.setdefault(c, []).append((r, i))
+    positions: list[int] = []
+    segments = []
+    for c, col in sorted(columns.items(), reverse=True):
+        lo = len(positions)
+        positions += [i for _, i in reversed(col)]
+        segments.append((width + 1 - c, height + 1 - col[-1][0], lo, len(positions)))
+    return tuple(positions), tuple(segments)
 
 
 # One side of a region's splits, read in row-major order (low) or reflection
@@ -146,15 +155,12 @@ def _layout(region: CellRegion) -> _Layout:
     extra = list(region.extra_precedences)
     pairs = [(order.index[a], order.index[b], a, b) for a, b in extra]
     reflected = _oriented_pairs(extra, nrows, ncols, transpose=True, turn=True)
+    places, segments = _reflection(region, nrows, ncols)
     return _Layout(
         region,
         _threshold_flavor(region),
         (order.rows, tuple(pairs), tuple(range(region.size))),
-        (
-            _reflected_segments(order, nrows, ncols),
-            tuple((i, j, *pair) for (i, j, _, _), pair in zip(pairs, reflected)),
-            order.reflect(range(region.size)),
-        ),
+        (segments, tuple((i, j, *pair) for (i, j, _, _), pair in zip(pairs, reflected)), places),
     )
 
 
@@ -294,12 +300,10 @@ def _tiling(layout: _Layout, low: CellRegion, high: CellRegion) -> Gather | None
     index = region.order.index
     n = low.size
     slots: list[int | None] = [None] * region.size
+    places, reflected = _reflection(high, region.max_col, region.num_rows)
     for segments, sources in (
         (low.order.rows, range(n)),
-        (
-            _reflected_segments(high.order, region.max_col, region.num_rows),
-            high.order.reflect(range(n, n + high.size)),
-        ),
+        (reflected, [n + i for i in places]),
     ):
         for r, s, lo, hi in segments:
             i = index.get((r, s))

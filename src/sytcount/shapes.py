@@ -273,27 +273,19 @@ def _gather(indices: Sequence[int]) -> Gather:
 class OrderTable:
     """A region's order relation, read off its cells in row-major order.
 
-    A filling is listed row by row as one flat label sequence; ``rows``
-    holds each row as (row, first column, start, stop) of its slice, and
-    ``slices`` the slices themselves.
-    ``lower`` and ``upper`` gather from the sequence the two sides of every
-    covering pair (right neighbour, lower neighbour, extra precedence), so
-    a filling keeps the order exactly when each gathered lower label is
-    below the upper one.  ``reflect`` gathers the labels column by column,
-    right to left and each column bottom-up, which is row-major order after
-    a reflection across the anti-diagonal; ``columns`` holds each column as
-    (column, bottom row, start, stop) of its slice of the gathered labels.
+    A filling is listed row by row as one flat label sequence; ``index``
+    gives each cell's position in it, and ``rows`` holds each row as (row,
+    first column, start, stop) of its slice.  ``lower`` and ``upper``
+    gather from the sequence the two sides of every covering pair (right
+    neighbour, lower neighbour, extra precedence), so a filling keeps the
+    order exactly when each gathered lower label is below the upper one.
     """
 
     index: dict[Cell, int]
-    lengths: tuple[int, ...]
     labels: list[int]  # 1..N, what a standard filling's sorted labels equal
     rows: tuple[tuple[int, int, int, int], ...]
-    slices: tuple[slice, ...]
     lower: Gather
     upper: Gather
-    reflect: Gather
-    columns: tuple[tuple[int, int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -366,30 +358,17 @@ class CellRegion:
             if nxt in index
         ]
         pairs += [(index[a], index[b]) for a, b in self.extra_precedences]
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), i in index.items():
-            by_col.setdefault(c, []).append((r, i))
-        columns = sorted(by_col.items(), reverse=True)
-        lengths = tuple(e - s + 1 for s, e in self.rows)
-        row_starts = accumulate(lengths, initial=0)
-        col_starts = accumulate((len(col) for _, col in columns), initial=0)
+        starts = accumulate((e - s + 1 for s, e in self.rows), initial=0)
         rows = tuple(
-            (r, s, lo, lo + n)
-            for r, ((s, _), n, lo) in enumerate(zip(self.rows, lengths, row_starts), start=1)
+            (r, s, lo, lo + e - s + 1)
+            for r, ((s, e), lo) in enumerate(zip(self.rows, starts), start=1)
         )
         return OrderTable(
             index,
-            lengths,
             list(range(1, len(index) + 1)),
             rows,
-            tuple(slice(lo, hi) for _, _, lo, hi in rows),
             _gather([a for a, _ in pairs]),
             _gather([b for _, b in pairs]),
-            _gather([i for _, col in columns for _, i in reversed(col)]),
-            tuple(
-                (c, col[-1][0], lo, lo + len(col))
-                for (c, col), lo in zip(columns, col_starts)
-            ),
         )
 
     def cells(self) -> Iterator[Cell]:
@@ -615,7 +594,7 @@ class Tableau:
 
     def __init__(self, region: CellRegion, rows: Iterable[Iterable[int]]) -> None:
         rows = tuple(map(tuple, rows))
-        if tuple(map(len, rows)) != region.order.lengths:
+        if [len(row) for row in rows] != [hi - lo for _, _, lo, hi in region.order.rows]:
             if len(rows) != region.num_rows:
                 raise ShapeError("row count does not match the region")
             raise ShapeError("row length does not match the region")
@@ -633,7 +612,7 @@ class Tableau:
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple([self.flat[cut] for cut in self.region.order.slices])
+        return tuple([self.flat[lo:hi] for _, _, lo, hi in self.region.order.rows])
 
     @property
     def size(self) -> int:
