@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,18 @@ _spf = bytearray(2)
 
 class NotAnInteger(ValueError):
     """A quantity expected to be a whole number is not."""
+
+
+class TooLarge(ValueError):
+    """A size past the longest sequence Python can build."""
+
+
+def _index_range(n: int, what: str) -> range:
+    """``range(n)``, or :class:`TooLarge` naming ``what`` where a list of
+    ``n`` items would raise ``OverflowError``."""
+    if n > sys.maxsize:
+        raise TooLarge(f"{what} is too large to count: {n}")
+    return range(n)
 
 
 def _extend_sieve(limit: int) -> None:
@@ -374,6 +387,8 @@ def factorial_ratio(
     factors = []
     if terms:
         top, w_top = terms[-1]
+        if top >= sys.maxsize:  # the sieve would hold one entry for each of 0..top
+            raise TooLarge(f"factorial argument is too large to count: {top}")
         _extend_sieve(top)
         end = bisect.bisect_right(_sieve_primes, top)
         below = terms[-2][0] if len(terms) > 1 else 1

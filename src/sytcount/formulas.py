@@ -20,12 +20,11 @@ from math import factorial, perm, prod
 from operator import add, sub
 from typing import Iterator
 
-from .arith import FactoredRatio, binomial, exact_quotient, factorial_ratio
+from .arith import FactoredRatio, _index_range, binomial, exact_quotient, factorial_ratio
 from .shapes import (
     Partition,
     PartitionLike,
     StrictPartition,
-    _index_range,
     coerce_partition,
     coerce_strict,
     complement_in_rectangle,
@@ -56,6 +55,7 @@ def _rect_prefix(mu: PartitionLike, k: int) -> Partition:
     mu = coerce_partition(mu)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    _index_range(k, "k")  # the identity builds parts of length k
     if len(mu.parts) > k:
         raise ValueError(f"{mu} has more than {k} parts")
     return mu
@@ -204,6 +204,7 @@ def coeff_d(mu: PartitionLike, k: int, m: int, n: int, t: int) -> FactoredRatio:
     mu = coerce_partition(mu)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    _index_range(k, "k")  # the coefficient builds parts of length k
     if len(mu.parts) > k:
         raise ValueError(f"{mu} has more than {k} parts")
     cells = m * n

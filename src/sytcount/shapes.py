@@ -12,12 +12,13 @@ for ``rotate180``, the line kernel in ``count`` and the splits in ``pivot``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, combinations
 from operator import add, itemgetter, le, lt
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
+
+from .arith import TooLarge, _index_range  # TooLarge is importable from here too
 
 Cell = tuple[int, int]
 Interval = tuple[int, int]
@@ -42,18 +43,6 @@ class InvalidTruncation(ShapeError):
 
 class InvalidSpec(ShapeError):
     """Unparseable shape descriptor string."""
-
-
-class TooLarge(ValueError):
-    """A size past the longest sequence Python can build."""
-
-
-def _index_range(n: int, what: str) -> range:
-    """``range(n)``, or :class:`TooLarge` naming ``what`` where a list of
-    ``n`` items would raise ``OverflowError``."""
-    if n > sys.maxsize:
-        raise TooLarge(f"{what} is too large to count: {n}")
-    return range(n)
 
 
 @dataclass(frozen=True)

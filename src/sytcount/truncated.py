@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import ge
 from typing import Callable
 
-from .arith import FactoredRatio, factorial_ratio
+from .arith import FactoredRatio, _index_range, factorial_ratio
 from .formulas import (
     _rect_prefix,
     _stair_prefix,
@@ -31,7 +31,6 @@ from .shapes import (
     PartitionLike,
     ShapeDescriptor,
     StrictPartition,
-    _index_range,
     outline_size,
     staircase,
     truncated_rectangle_region,
@@ -111,11 +110,13 @@ def theorem_rect_sum_direct(mu: PartitionLike, k: int, m: int, n: int) -> int:
 
 def stair_plus1_mu(m: int, k: int) -> StrictPartition:
     """Prefix partition (m+k, ..., m+1) attached in the sq+1 staircase family."""
+    _index_range(k, "k")  # a tuple of k parts
     return StrictPartition(tuple(range(m + k, m, -1)))
 
 
 def stair_sq_mu(m: int, k: int) -> StrictPartition:
     """Prefix partition (m+k+1, ..., m+3, m+1) for the sq staircase family."""
+    _index_range(k, "k")  # a tuple of k parts
     return StrictPartition(tuple(range(m + k + 1, m + 2, -1)) + (m + 1,))
 
 

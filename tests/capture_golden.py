@@ -208,6 +208,13 @@ TOO_LARGE = [
     ("count", "stair:" + str(10**19)),
     ("verify", "sum-shifted", "--m", str(10**19), "--t", "1"),
     ("verify", "sum-shifted", "--m", "9" * 3000, "--t", "1"),
+    ("verify", "main-stair", "--mu", str(10**19), "--m", "1"),
+    ("count", f"part:{10**19},{10**19}"),
+    ("verify", "main-rect", "--mu", "1", "--k", str(10**19), "--m", "1", "--n", "1"),
+    ("verify", "pivot-rect", "--mu", "0", "--k", str(10**19), "--m", "1", "--n", "1"),
+    ("verify", "coeff-d", "--mu", "1", "--k", str(10**19), "--m", "1", "--n", "1", "--t", "0"),
+    ("scan", "--family", "stair-sq", "--m", "1", "--k", str(10**19)),
+    ("scan", "--family", "stair-sq+1", "--m", "1", "--k", str(10**19)),
 ]
 
 

@@ -62,6 +62,19 @@ class TestCount:
         assert float(cpu_s) < 0.1
         assert int(peak_kb) < 25 * 1024
 
+    @pytest.mark.parametrize(
+        "shape, count",
+        [
+            ("part:10000000000000000000,1", "10000000000000000000"),
+            ("shifted:10000000000000000000,1", "9999999999999999999"),
+        ],
+    )
+    def test_part_past_any_list_with_a_small_one_still_counts(self, capsys, shape, count):
+        # Two close factorial arguments are divided out before the sieve
+        # would be asked for primes up to them, so no TooLarge is raised.
+        code, out, _ = run(capsys, "count", shape)
+        assert code == 0 and out == count + "\n"
+
     @pytest.mark.parametrize("method", ["formula", "oracle"])
     def test_methods_agree(self, capsys, method):
         code, out, _ = run(capsys, "count", "stair:6/1", "--method", method)

@@ -171,6 +171,14 @@ def run(argv):
 @example(["count", "stair:" + str(10**19)])
 @example(["verify", "sum-shifted", "--m", str(10**19), "--t", "1"])
 @example(["verify", "sum-shifted", "--m", "9" * 3000, "--t", "1"])
+@example(["verify", "main-stair", "--mu", str(10**19), "--m", "1"])
+@example(["count", f"part:{10**19},{10**19}"])
+@example(["verify", "main-rect", "--mu", "1", "--k", str(10**19), "--m", "1", "--n", "1"])
+@example(["verify", "pivot-rect", "--mu", "0", "--k", str(10**19), "--m", "1", "--n", "1"])
+@example(["verify", "coeff-d", "--mu", "1", "--k", str(10**19), "--m", "1", "--n", "1",
+          "--t", "0"])
+@example(["scan", "--family", "stair-sq", "--m", "1", "--k", str(10**19)])
+@example(["scan", "--family", "stair-sq+1", "--m", "1", "--k", str(10**19)])
 def test_every_argv_ends_in_an_answer_or_one_error_line(argv):
     code, _, err = run(argv)
     assert code in (0, 1, 2), (argv, code)

@@ -40,6 +40,7 @@ from sytcount.shapes import (
     complement_in_staircase,
     ordinary_region,
     partitions_in_box,
+    rotate180,
     shifted_region,
     strict_partitions_in_staircase,
     truncated_staircase_region,
@@ -668,10 +669,17 @@ FULL_REGIONS = [
     CellRegion(((1, 1),)),
 ]
 # Truncated regions give pivot pieces with general outlines, some of which
-# keep a moved or reflected extra precedence.
+# keep a moved or reflected extra precedence.  The general regions have an
+# empty first column, a row that starts left of the row above, or a
+# half-turned truncated outline (one keeps its diagonal precedences).
 PIVOT_REGIONS = FULL_REGIONS + [
     build_region(d)
     for d in ("stair:4/1", "stair:5/2", "stair:5/2,1", "stair:5/3", "rect:3x4/2,1", "rect:4x4/3,1")
+] + [
+    CellRegion(((2, 3), (2, 4))),
+    CellRegion(((3, 4), (2, 4), (2, 3))),
+    rotate180(build_region("stair:5/2")),
+    rotate180(build_region("rect:3x4/2,1")),
 ]
 
 

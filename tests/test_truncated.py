@@ -7,8 +7,11 @@ import pytest
 
 from sytcount.cli import NoFormulaAvailable, resolve
 from sytcount.count import count_syt
+from sytcount.arith import factorial_ratio
 from sytcount.formulas import (
     PartTooSmall,
+    coeff_d,
+    frobenius_young_ratio,
     rect_pair_terms,
     rectangle_count,
     rectangle_ratio,
@@ -468,6 +471,16 @@ class TestOrdersPastAnyList:
             (FAMILIES["rect-sq"].ratio, (0, 0, BIG + 1), f"k - 1 is too large to count: {BIG}"),
             (FAMILIES["rect-sq+1"].ratio, (1, BIG, 1), f"n is too large to count: {BIG}"),
             (FAMILIES["square-minus-two"].ratio, (BIG + 2,), f"n - 2 is too large to count: {BIG}"),
+            # the sieve would need one entry for each of 0..sys.maxsize
+            (factorial_ratio, ((BIG - 1,), ()), f"factorial argument is too large to count: {BIG - 1}"),
+            (frobenius_young_ratio, ((BIG, BIG),), f"factorial argument is too large to count: {2 * BIG}"),
+            (theorem_staircase_sum, ((BIG,), 1), f"factorial argument is too large to count: {BIG + 1}"),
+            # main-rect and pivot-rect meet the rectangle prefix first
+            (theorem_rect_sum_direct, ((1,), BIG, 1, 1), f"k is too large to count: {BIG}"),
+            (verify_pivot_identity_rect, ((), BIG, 1, 1), f"k is too large to count: {BIG}"),
+            (coeff_d, ((1,), BIG, 1, 1, 0), f"k is too large to count: {BIG}"),
+            (stair_sq_mu, (1, BIG), f"k is too large to count: {BIG}"),
+            (stair_plus1_mu, (1, BIG), f"k is too large to count: {BIG}"),
         ],
     )
     def test_raises_too_large_naming_the_size(self, ratio, args, message):
