@@ -55,7 +55,7 @@ def _rect_prefix(mu: PartitionLike, k: int) -> Partition:
     mu = coerce_partition(mu)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    _index_range(k, "k")  # the identity builds parts of length k
+    _index_range(k, "k")  # its identities build partitions of k parts
     if len(mu.parts) > k:
         raise ValueError(f"{mu} has more than {k} parts")
     return mu
@@ -204,7 +204,7 @@ def coeff_d(mu: PartitionLike, k: int, m: int, n: int, t: int) -> FactoredRatio:
     mu = coerce_partition(mu)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    _index_range(k, "k")  # the coefficient builds parts of length k
+    _index_range(k, "k")  # the coefficient builds a partition of k parts
     if len(mu.parts) > k:
         raise ValueError(f"{mu} has more than {k} parts")
     cells = m * n
