@@ -217,6 +217,17 @@ TOO_LARGE = [
     ("scan", "--family", "stair-sq+1", "--m", "1", "--k", str(10**19)),
 ]
 
+# Counts with a prime factor above 2**16, which factoring splits by rho:
+# rect:7x8/3,3,1 holds 106273 * 2262437, stair:11/5,3 holds 402947 * 85325291.
+RHO_ROUTE = [
+    ("factor", "--method", "oracle", "rect:7x8/3,3,1"),
+    ("factor", "stair:11/5,3"),
+] + [
+    ("scan", "--family", "rect-trunc", "--m", "6..7", "--n", "7", "--kappa", "3,1",
+     "--format", fmt)
+    for fmt in ("text", "csv", "json")
+]
+
 
 def commands() -> list[tuple[tuple[str, ...], dict[str, str]]]:
     cmds: list[tuple[tuple[str, ...], dict[str, str]]] = []
@@ -234,7 +245,8 @@ def commands() -> list[tuple[tuple[str, ...], dict[str, str]]]:
     cmds.append((("verify", "conjecture", "--n", "7"), {BUDGET_ENV: "47"}))
     cmds.append((("verify", "conjecture", "--n", "3"), {BUDGET_ENV: "many"}))
     cmds += [(("verify",) + argv, {}) for argv in VERIFIES]
-    cmds += [(argv, {}) for argv in ENUMERATES + OTHER + PARTITION_ERRORS + TOO_LARGE]
+    cmds += [(argv, {}) for argv in
+             ENUMERATES + OTHER + PARTITION_ERRORS + TOO_LARGE + RHO_ROUTE]
     return cmds
 
 
