@@ -20,12 +20,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat, starmap
+from itertools import islice, repeat, starmap
 from operator import floordiv, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
-
-_TRIAL_LIMIT = 10**6
-_PRIME_CHECK_STRIDE = 2048
 
 # Deterministic Miller-Rabin witness set below 3.3 * 10**24 (covers 2**64).
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -35,14 +32,15 @@ _MR_BASES_WIDE = _MR_BASES_SMALL + (
 )
 _MR_SMALL_BOUND = 3317044064679887385961981
 
-# Integers up to this bound are factored through the smallest-prime-factor
-# table; larger ones go through factorize.  Below 257**2 every composite
-# has a prime factor under 256, so the table fits in a bytearray.
+# The one small-prime bound: integers up to it are factored through the
+# smallest-prime-factor table, and factorize trial-divides larger ones by
+# the primes up to it before rho.  Below 257**2 every composite has a prime
+# factor under 256, so the table fits in a bytearray.
 _SPF_LIMIT = 1 << 16
 
 _sieve_primes: list[int] = []
 _sieve_limit = 0
-_spf = bytearray(2)
+_spf = bytearray()
 
 
 class NotAnInteger(ValueError):
@@ -65,7 +63,7 @@ def _extend_sieve(limit: int) -> None:
     global _sieve_primes, _sieve_limit
     if limit <= _sieve_limit:
         return
-    limit = max(limit, 1 << 16)
+    limit = max(limit, _SPF_LIMIT)
     mask = bytearray([1]) * (limit + 1)
     mask[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
@@ -75,18 +73,16 @@ def _extend_sieve(limit: int) -> None:
     _sieve_limit = limit
 
 
-def _extend_spf(limit: int) -> None:
-    """Grow the smallest-prime-factor table to cover ``0..limit``: entry k
-    is the smallest prime factor of a composite k, and 0 for a prime."""
+def _build_spf() -> bytearray:
+    """The smallest-prime-factor table of ``0.._SPF_LIMIT``, built once:
+    entry k is the smallest prime factor of a composite k, and 0 for a prime."""
     global _spf
-    if limit < len(_spf):
-        return
-    size = min(max(limit + 1, 2 * len(_spf), 1024), _SPF_LIMIT + 1)
-    spf = bytearray(size)
+    spf = bytearray(_SPF_LIMIT + 1)
     # Largest primes first, so each entry ends with its smallest prime.
-    for p in reversed(primes_up_to(math.isqrt(size - 1))):
-        spf[p * p :: p] = bytes([p]) * len(range(p * p, size, p))
+    for p in reversed(primes_up_to(math.isqrt(_SPF_LIMIT))):
+        spf[p * p :: p] = bytes([p]) * len(range(p * p, _SPF_LIMIT + 1, p))
     _spf = spf
+    return spf
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -128,8 +124,6 @@ def _brent_rho(n: int) -> int:
     # Brent's cycle variant of Pollard rho; n must be odd and composite.
     # The polynomial increment walks a fixed sequence, so results are
     # reproducible run to run.
-    if n % 2 == 0:
-        return 2
     for c in range(1, 1000):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
@@ -182,30 +176,26 @@ class Factorization:
 def factorize(v: int) -> Factorization:
     """Full prime factorization of a positive integer.
 
-    Trial division by all primes below 10**6 (with periodic primality
-    checks on the remaining cofactor so large primes exit early), then
-    Pollard rho splitting for anything left.
+    Trial division by the primes up to ``_SPF_LIMIT`` (stopping once the
+    cofactor is prime), then Pollard rho splitting for anything left.
     """
     if v < 1:
         raise ValueError(f"can only factor positive integers, got {v}")
     n = v
     found: dict[int, int] = {}
-    if n > 1:
-        _extend_sieve(_TRIAL_LIMIT)
-        for idx, p in enumerate(_sieve_primes):
-            if n == 1 or p * p > n:
+    _extend_sieve(_SPF_LIMIT)
+    # factorial_ratio may have grown the sieve past the bound
+    for p in islice(_sieve_primes, bisect.bisect_right(_sieve_primes, _SPF_LIMIT)):
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            found[p] = e
+            if is_probable_prime(n):
                 break
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                found[p] = e
-                if is_probable_prime(n):
-                    break
-            elif idx % _PRIME_CHECK_STRIDE == _PRIME_CHECK_STRIDE - 1:
-                if is_probable_prime(n):
-                    break
     pending = [n] if n > 1 else []
     while pending:
         x = pending.pop()
@@ -334,18 +324,15 @@ def _times_powers(
     every ``k: w`` in ``powers``.  Each distinct integer is factored once,
     and all factors go into one exponent map, sorted once at the end."""
     acc = dict(factors)
-    spf = _spf
+    spf = _spf or _build_spf()
     for k, w in powers.items():
         if k == 0:
             raise ValueError("zero has no factored form")
         if k < 0:  # the sign flips only at an odd multiplicity
             sign, k = (-sign if w % 2 else sign), -k
-        if k >= len(spf):
-            if k > _SPF_LIMIT:
-                _merge(acc, factorize(k).pairs, w)
-                continue
-            _extend_spf(max(abs(j) for j in powers if abs(j) <= _SPF_LIMIT))
-            spf = _spf
+        if k > _SPF_LIMIT:
+            _merge(acc, factorize(k).pairs, w)
+            continue
         while k > 1:
             p = spf[k] or k
             acc[p] = acc.get(p, 0) + w

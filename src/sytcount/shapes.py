@@ -176,6 +176,7 @@ def complement_in_rectangle(lam: PartitionLike, m: int, n: int) -> Partition:
     lam = coerce_partition(lam)
     if len(lam.parts) > m or (lam.parts and lam.parts[0] > n):
         raise NotContained(f"{lam} does not fit inside a {m}x{n} box")
+    _index_range(m + n, "staircase order")  # a set of m + n parts
     padded = {lam.part(i) + (m + 1 - i) for i in range(1, m + 1)}
     comp = sorted(set(range(1, m + n + 1)) - padded, reverse=True)
     return Partition(tuple(comp[j - 1] - (n + 1 - j) for j in range(1, n + 1)))

@@ -215,6 +215,9 @@ TOO_LARGE = [
     ("verify", "coeff-d", "--mu", "1", "--k", str(10**19), "--m", "1", "--n", "1", "--t", "0"),
     ("scan", "--family", "stair-sq", "--m", "1", "--k", str(10**19)),
     ("scan", "--family", "stair-sq+1", "--m", "1", "--k", str(10**19)),
+    ("verify", "sum-rect", "--m", "1", "--n", str(10**19), "--t", "1"),
+    ("verify", "sum-rect", "--m", str(10**19), "--n", "1", "--t", "1"),
+    ("verify", "main-rect", "--mu", "1", "--k", "1", "--m", str(10**19), "--n", "1"),
 ]
 
 # Counts with a prime factor above 2**16, which factoring splits by rho:

@@ -1,6 +1,9 @@
 """Factorization, primality, and factored-ratio arithmetic."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,13 +73,41 @@ class TestFactorize:
         assert factorize(p * q).pairs == ((p, 1), (q, 1))
         assert factorize(p * p).pairs == ((p, 2),)
 
-    @settings(max_examples=60)
-    @given(st.integers(1, 10**6))
+    # Products of 1-4 primes between 2**16 and 10**6, times a small integer:
+    # trial division stops below them, so two or more go through rho.
+    MEDIUM = st.builds(
+        lambda primes, k: k * math.prod(primes),
+        st.lists(
+            st.sampled_from([p for p in primes_up_to(10**6) if p > 1 << 16]),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 1000),
+    )
+
+    @settings(max_examples=120)
+    @given(st.integers(1, 10**6) | MEDIUM)
     def test_roundtrip(self, v):
         f = factorize(v)
         assert math.prod(p**e for p, e in f.pairs) == v
         assert all(e >= 1 and is_probable_prime(p) for p, e in f.pairs)
         assert [p for p, _ in f.pairs] == sorted(p for p, _ in f.pairs)
+
+    def test_trial_division_sieves_no_prime_past_the_table(self):
+        # rect:7x8/3,3,1 has the factors 106273 * 2262437; a fresh process
+        # factors its count without sieving past 2**16.
+        script = (
+            "import contextlib, io\n"
+            "from sytcount import arith, cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['factor', '--method', 'oracle', 'rect:7x8/3,3,1'])\n"
+            "print(arith._sieve_limit)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout == f"{1 << 16}\n"
 
     def test_smooth(self):
         assert is_smooth(1, 1)

@@ -179,6 +179,9 @@ def run(argv):
           "--t", "0"])
 @example(["scan", "--family", "stair-sq", "--m", "1", "--k", str(10**19)])
 @example(["scan", "--family", "stair-sq+1", "--m", "1", "--k", str(10**19)])
+@example(["verify", "sum-rect", "--m", "1", "--n", str(10**19), "--t", "1"])
+@example(["verify", "sum-rect", "--m", str(10**19), "--n", "1", "--t", "1"])
+@example(["verify", "main-rect", "--mu", "1", "--k", "1", "--m", str(10**19), "--n", "1"])
 def test_every_argv_ends_in_an_answer_or_one_error_line(argv):
     code, _, err = run(argv)
     assert code in (0, 1, 2), (argv, code)

@@ -28,6 +28,7 @@ from sytcount.shapes import (
     Partition,
     StrictPartition,
     TooLarge,
+    complement_in_rectangle,
     parse_descriptor,
     partitions_in_box,
     staircase,
@@ -481,6 +482,8 @@ class TestOrdersPastAnyList:
             (coeff_d, ((1,), BIG, 1, 1, 0), f"k is too large to count: {BIG}"),
             (stair_sq_mu, (1, BIG), f"k is too large to count: {BIG}"),
             (stair_plus1_mu, (1, BIG), f"k is too large to count: {BIG}"),
+            # sum-rect and main-rect complement in the staircase of order m + n
+            (complement_in_rectangle, ((), 1, BIG), f"staircase order is too large to count: {BIG + 1}"),
         ],
     )
     def test_raises_too_large_naming_the_size(self, ratio, args, message):
