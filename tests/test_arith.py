@@ -74,7 +74,7 @@ class TestFactorize:
         assert factorize(p * p).pairs == ((p, 2),)
 
     # Products of 1-4 primes between 2**16 and 10**6, times a small integer:
-    # trial division stops below them, so two or more go through rho.
+    # trial division stops below them, so a product of two or more reaches rho.
     MEDIUM = st.builds(
         lambda primes, k: k * math.prod(primes),
         st.lists(
