@@ -258,13 +258,11 @@ def _oracle_counter(geometry: str, kappa: Partition) -> Callable[[Sequence[int]]
     ``count`` reads for that ``stair`` or ``rect`` less ``kappa``, once the
     budget (read at the first row checked) allows ``desc.size`` cells; a
     negative side skips the budget and gets the builder's message."""
-    cut = "/" + ",".join(map(str, kappa.parts)) if kappa.parts else ""
     budget = None
 
     def count(sides: Sequence[int]) -> Count:
         nonlocal budget
-        desc = ShapeDescriptor(f"{geometry}:{'x'.join(map(str, sides))}{cut}", geometry, None,
-                               *sides, kappa=kappa)
+        desc = ShapeDescriptor("", geometry, None, *sides, kappa=kappa)
         if min(sides) >= 0:
             budget = _oracle_budget() if budget is None else budget
             if desc.size > budget:

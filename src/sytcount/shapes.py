@@ -486,15 +486,6 @@ def rotate180(region: CellRegion) -> CellRegion:
     return CellRegion(_turned_rows(region.rows, ncols), pairs, "general")
 
 
-def outline_size(geometry: str, sides: Sequence[int], kappa: Sequence[int]) -> int:
-    """Cells of the ``stair`` of order ``sides[0]`` or the ``rect`` with
-    ``sides``, less the ``kappa`` cut from it; read off the outline alone,
-    for a truncation that fits."""
-    m = sides[0]
-    full = m * (m + 1) // 2 if geometry == "stair" else m * sides[1]
-    return full - sum(kappa)
-
-
 @dataclass(frozen=True)
 class ShapeDescriptor:
     """Parsed form of a shape descriptor string."""
@@ -511,7 +502,8 @@ class ShapeDescriptor:
         """Cell count read off the descriptor, for a valid one."""
         if self.lam is not None:
             return self.lam.size
-        return outline_size(self.family, (self.m, self.n), self.kappa.parts)
+        full = self.m * (self.m + 1) // 2 if self.family == "stair" else self.m * self.n
+        return full - self.kappa.size
 
     def region(self) -> CellRegion:
         if self.family == "part":
@@ -569,14 +561,13 @@ def build_region(descriptor: str) -> CellRegion:
     return parse_descriptor(descriptor).region()
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
+@dataclass(frozen=True, init=False)
 class Tableau:
     """A filling of a region, stored as one flat label tuple in the
     region's row-major order (``region.order``); ``rows`` is read off it.
 
     Rows may be given as any iterables; labels are kept as given.  A
-    tableau is immutable.  (``frozen=True`` would do that, but with slots
-    its ``__setattr__`` raises ``TypeError`` for a name that is no field.)
+    tableau is immutable.
     """
 
     region: CellRegion
@@ -613,12 +604,3 @@ class Tableau:
         if i is None:
             raise ShapeError(f"{(r, c)} is not a cell of the region")
         return self.flat[i]
-
-    def __reduce__(self):  # copy and pickle rebuild through _of, not __setattr__
-        return Tableau._of, (self.region, self.flat)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: a Tableau is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: a Tableau is immutable")

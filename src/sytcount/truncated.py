@@ -31,10 +31,7 @@ from .shapes import (
     PartitionLike,
     ShapeDescriptor,
     StrictPartition,
-    outline_size,
     staircase,
-    truncated_rectangle_region,
-    truncated_staircase_region,
     union,
 )
 
@@ -329,17 +326,19 @@ class Family:
                 word = _LEAST_WORDS.get(least, f"at least {least}")
                 raise ValueError(f"{name} must be {word}, got {value}")
 
+    def _member(self, *values: int) -> ShapeDescriptor:
+        """The descriptor of the member, built from ``shape`` unchecked."""
+        sides, kappa = self.shape(*values)
+        return ShapeDescriptor("", self.geometry, None, *sides, kappa=Partition(kappa))
+
     def region(self, *values: int) -> CellRegion:
         self.check(*values)
-        sides, kappa = self.shape(*values)
-        if self.geometry == "stair":
-            return truncated_staircase_region(*sides, kappa)
-        return truncated_rectangle_region(*sides, kappa)
+        return self._member(*values).region()
 
     def cells(self, *values: int) -> int:
         """Cells of the member, read off ``shape`` without building its
         region; the range is not checked."""
-        return outline_size(self.geometry, *self.shape(*values))
+        return self._member(*values).size
 
     def match(self, desc: ShapeDescriptor) -> tuple[int, ...] | None:
         """The parameters of the member that ``desc`` names, or None."""
