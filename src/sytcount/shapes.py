@@ -305,6 +305,7 @@ class CellRegion:
         object.__setattr__(
             self, "extra_precedences", frozenset(self.extra_precedences)
         )
+        _index_range(self.size, "region size")  # the column walk visits every cell
         by_col: dict[int, list[int]] = {}
         for r, (s, e) in enumerate(rows, start=1):
             for c in range(s, e + 1):
@@ -420,6 +421,7 @@ def truncated_staircase_region(m: int, kappa: PartitionLike = ()) -> CellRegion:
                 raise InvalidTruncation(
                     f"truncation {kappa} would empty row {i} of the staircase of order {m}"
                 )
+    _index_range(m, "staircase order")  # a tuple of m rows
     rows = tuple((i, m - kappa.part(i)) for i in range(1, m + 1))
     return CellRegion(rows, _diagonal_precedences(rows), "truncated_staircase")
 
@@ -435,6 +437,7 @@ def truncated_rectangle_region(
     kappa = coerce_partition(kappa)
     if len(kappa.parts) > m or (kappa.parts and kappa.parts[0] > n):
         raise InvalidTruncation(f"truncation {kappa} does not fit inside {m}x{n}")
+    _index_range(m, "rectangle side")  # a list of m rows
     lengths = [n - kappa.part(i) for i in range(1, m + 1)]
     while lengths and lengths[0] == 0:
         lengths.pop(0)

@@ -218,6 +218,11 @@ TOO_LARGE = [
     ("verify", "sum-rect", "--m", "1", "--n", str(10**19), "--t", "1"),
     ("verify", "sum-rect", "--m", str(10**19), "--n", "1", "--t", "1"),
     ("verify", "main-rect", "--mu", "1", "--k", "1", "--m", str(10**19), "--n", "1"),
+    ("count", f"stair:{10**19}/5,5"),
+    ("count", f"rect:{10**19}x1/1"),
+    ("count", f"rect:1x{10**19}/1"),
+    ("enumerate", f"rect:1x{10**19}"),
+    ("verify", "pivot-rect", "--mu", "0", "--k", "1", "--m", "1", "--n", str(10**19)),
 ]
 
 # Counts with a prime factor above 2**16, which factoring splits by rho:

@@ -182,6 +182,12 @@ def run(argv):
 @example(["verify", "sum-rect", "--m", "1", "--n", str(10**19), "--t", "1"])
 @example(["verify", "sum-rect", "--m", str(10**19), "--n", "1", "--t", "1"])
 @example(["verify", "main-rect", "--mu", "1", "--k", "1", "--m", str(10**19), "--n", "1"])
+# Regions past sys.maxsize rows or cells: refused before any cell is listed.
+@example(["count", f"stair:{10**19}/5,5"])
+@example(["count", f"rect:{10**19}x1/1"])
+@example(["count", f"rect:1x{10**19}/1"])
+@example(["enumerate", f"rect:1x{10**19}"])
+@example(["verify", "pivot-rect", "--mu", "0", "--k", "1", "--m", "1", "--n", str(10**19)])
 def test_every_argv_ends_in_an_answer_or_one_error_line(argv):
     code, _, err = run(argv)
     assert code in (0, 1, 2), (argv, code)

@@ -25,6 +25,7 @@ from sytcount.pivot import (
     verify_pivot_identity_staircase,
 )
 from sytcount.shapes import (
+    CellRegion,
     Partition,
     StrictPartition,
     TooLarge,
@@ -32,6 +33,8 @@ from sytcount.shapes import (
     parse_descriptor,
     partitions_in_box,
     staircase,
+    truncated_rectangle_region,
+    truncated_staircase_region,
 )
 from sytcount.truncated import (
     FAMILIES,
@@ -484,6 +487,10 @@ class TestOrdersPastAnyList:
             (stair_plus1_mu, (1, BIG), f"k is too large to count: {BIG}"),
             # sum-rect and main-rect complement in the staircase of order m + n
             (complement_in_rectangle, ((), 1, BIG), f"staircase order is too large to count: {BIG + 1}"),
+            # the region builders, before any row or cell is listed
+            (truncated_staircase_region, (BIG, (5, 5)), f"staircase order is too large to count: {BIG}"),
+            (truncated_rectangle_region, (BIG, 1, (1,)), f"rectangle side is too large to count: {BIG}"),
+            (CellRegion, (((1, BIG),),), f"region size is too large to count: {BIG}"),
         ],
     )
     def test_raises_too_large_naming_the_size(self, ratio, args, message):
