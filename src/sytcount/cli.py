@@ -1,8 +1,9 @@
 """Command-line interface: count, enumerate, factor, verify, scan.
 
 Exit codes: 0 on success or a passing verification, 1 when a verification
-fails, 2 on usage errors (bad descriptors, missing parameters, scans past
-the brute-force budget).
+fails or the reader closes the pipe early, 2 on usage errors (bad
+descriptors, missing parameters, scans past the brute-force budget), 130
+on an interrupt.
 """
 
 from __future__ import annotations
@@ -544,8 +545,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    """Run :func:`main` as the process: a reader that closes the pipe early
+    ends it with exit 1 and nothing on stderr, Ctrl-C with one line and 130."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's note on SIGPIPE: the flush at exit must not meet the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry_point()
