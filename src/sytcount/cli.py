@@ -548,8 +548,10 @@ def entry_point() -> None:
     """Run :func:`main` as the process: a reader that closes the pipe early
     ends it with exit 1 and nothing on stderr, Ctrl-C with one line and 130."""
     try:
-        code = main()
-        sys.stdout.flush()
+        try:
+            code = main()
+        finally:  # also when argparse exits after --help
+            sys.stdout.flush()
     except BrokenPipeError:
         # Python's note on SIGPIPE: the flush at exit must not meet the pipe again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -31,10 +31,11 @@ def _in_child() -> None:
 
 def start(argv, stdout=subprocess.PIPE) -> subprocess.Popen:
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout is block-buffered, as in a shell pipeline
     return subprocess.Popen(
         [sys.executable, "-m", "sytcount.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
-        preexec_fn=_in_child, text=True,
+        stdout=stdout, stderr=subprocess.PIPE, env=env, preexec_fn=_in_child, text=True,
     )
 
 
@@ -80,13 +81,17 @@ def test_a_reader_closing_after_one_line_ends_it_quietly():
     assert finish(child) == ("", "") and child.returncode == 1
 
 
-def test_a_reader_gone_before_the_first_write_ends_it_quietly():
-    # The five lines leave in one write at exit, after any one-line reader
-    # could have closed; so the read end is closed before the child starts.
+@pytest.mark.parametrize("argv", [
+    ["factor", "--method", "oracle", "rect:7x8/3,3,1"],
+    ["--help"],  # argparse exits before main returns
+], ids=["factor", "help"])
+def test_a_reader_gone_before_the_first_write_ends_it_quietly(argv):
+    # The buffered output leaves in one write at exit, after any one-line
+    # reader could have closed; so the read end is closed before the child starts.
     read, write = os.pipe()
     os.close(read)
     try:
-        child = start(["factor", "--method", "oracle", "rect:7x8/3,3,1"], stdout=write)
+        child = start(argv, stdout=write)
     finally:
         os.close(write)
     assert finish(child) == ("", "") and child.returncode == 1
