@@ -86,8 +86,8 @@ def test_a_reader_closing_after_one_line_ends_it_quietly():
     ["--help"],  # argparse exits before main returns
 ], ids=["factor", "help"])
 def test_a_reader_gone_before_the_first_write_ends_it_quietly(argv):
-    # The buffered output leaves in one write at exit, after any one-line
-    # reader could have closed; so the read end is closed before the child starts.
+    # The output leaves in one buffered write at exit, so a reader that took
+    # one line would already hold it all; the read end is closed before the start.
     read, write = os.pipe()
     os.close(read)
     try:
