@@ -17,17 +17,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .arith import FactoredRatio, Factorization
+from .arith import FactoredRatio, Factorization, exact_quotient
 from .count import count_syt, enumerate_syt
 from .formulas import (
     binomial,
     binomial_convolution_lhs,
     coeff_c,
     coeff_d,
+    frobenius_young,
     frobenius_young_ratio,
     rect_pair_terms,
     rectangle_count,
     rectangle_ratio,
+    schur_count,
     schur_ratio,
     stair_pair_terms,
     staircase_count,
@@ -232,14 +234,15 @@ def _verify_sum(label: str, want: int, top: int, sum_at, t: int | None) -> int:
 
 
 def _verify_coeff(label: str, coefficient: FactoredRatio, terms, count_of) -> int:
-    """Check each pair term against ``coefficient * f(lam) * f(lam_c)``."""
+    """Check each pair term against ``coefficient * f(lam) * f(lam_c)``, in integers."""
+    value = coefficient.to_fraction()
+    num, den = value.numerator, value.denominator
     checked = [
-        (lam, lhs, (coefficient * count_of(lam) * count_of(lam_c)).to_integer())
+        (lam, lhs, exact_quotient(num * count_of(lam) * count_of(lam_c), den))
         for lam, lam_c, _, _, lhs in terms
     ]
     failures = [(lam, lhs, rhs) for lam, lhs, rhs in checked if lhs != rhs]
     print(label)
-    value = coefficient.to_fraction()
     over = "" if value.denominator == 1 else f"/{_decimal(value.denominator)}"
     print(f"coefficient {_decimal(value.numerator)}{over}")
     print(f"instances {len(checked)}")
@@ -315,10 +318,10 @@ _IDENTITIES = {
                         lambda s: sum_identity_rect(m, n, s), t))),
     "coeff-c": _Identity(
         ("mu", "m", "t"), mu=StrictPartition, nonnegative=_ORDER, check=lambda label, *v: (
-            _verify_coeff(label, coeff_c(*v), stair_pair_terms(*v), schur_ratio))),
+            _verify_coeff(label, coeff_c(*v), stair_pair_terms(*v), schur_count))),
     "coeff-d": _Identity(
         ("mu", "k", "m", "n", "t"), mu=Partition, nonnegative=_BOX, check=lambda label, *v: (
-            _verify_coeff(label, coeff_d(*v), rect_pair_terms(*v), frobenius_young_ratio))),
+            _verify_coeff(label, coeff_d(*v), rect_pair_terms(*v), frobenius_young))),
     "main-stair": _Identity(
         ("mu", "m"), mu=StrictPartition, nonnegative=_ORDER, check=lambda label, *v: (
             _print_check(label, theorem_staircase_sum_direct(*v), theorem_staircase_sum(*v)))),
@@ -443,12 +446,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     region = parse_descriptor(args.shape).region()
     width = len(str(region.size))
-    rows = [(" " * ((s - 1) * (width + 1)), lo, hi) for _, s, lo, hi in region.order.rows]
-    for i, t in enumerate(enumerate_syt(region, limit=args.limit)):
-        if i:
-            print()
-        for indent, lo, hi in rows:
-            print(indent + " ".join(str(x).rjust(width) for x in t.flat[lo:hi]))
+    layout = "".join(  # one tableau's text, each row ending in a newline
+        " " * ((s - 1) * (width + 1)) + " ".join([f"{{:>{width}}}"] * (hi - lo)) + "\n"
+        for _, s, lo, hi in region.order.rows
+    )
+    gap = ""  # a blank line before each tableau after the first
+    for t in enumerate_syt(region, limit=args.limit):
+        print(gap + layout.format(*t.flat), end="")
+        gap = "\n"
     return 0
 
 

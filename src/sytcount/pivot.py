@@ -165,8 +165,11 @@ def _layout(region: CellRegion) -> _Layout:
 
 
 def _threshold_layout(region: CellRegion) -> _Layout:
-    """The layout of a region that threshold splitting accepts."""
-    layout = _layout(region)
+    """The layout of a region that threshold splitting accepts, kept on the
+    region: a cache lookup compares a new region field by field."""
+    layout = region.__dict__.get("_layout")
+    if layout is None:
+        layout = region.__dict__["_layout"] = _layout(region)
     if layout.threshold_flavor is None:
         raise UnsupportedRegion(
             "threshold splitting needs a full rectangle or full staircase"

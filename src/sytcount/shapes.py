@@ -63,7 +63,7 @@ class _Parts:
     _words: ClassVar[tuple[str, str]]  # the order's adverb, the sign's adjective
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(int, self.parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(map(self._breaks, parts, parts[1:])):
@@ -590,8 +590,9 @@ class Tableau:
         """The tableau of ``region`` whose row-major labels are ``flat``,
         taken as they are: the caller vouches for the length."""
         t = object.__new__(cls)
-        object.__setattr__(t, "region", region)
-        object.__setattr__(t, "flat", flat)
+        fields = t.__dict__  # two item stores cost less than object.__setattr__
+        fields["region"] = region
+        fields["flat"] = flat
         return t
 
     @property

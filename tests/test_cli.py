@@ -11,15 +11,18 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from sytcount import arith, cli
 from sytcount.arith import factorize
 from sytcount.cli import (
     ORACLE_LIMIT_ENV, NoFormulaAvailable, _print_check, entry_point, main, resolve,
 )
-from sytcount.count import count_syt
-from sytcount.formulas import rectangle_count, staircase_count
+from sytcount.count import count_syt, enumerate_syt
+from sytcount.formulas import (
+    coeff_c, coeff_d, frobenius_young, frobenius_young_ratio, rect_pair_terms, rectangle_count,
+    schur_count, schur_ratio, stair_pair_terms, staircase_count,
+)
 from sytcount.shapes import CellRegion, ShapeDescriptor, ShapeError, parse_descriptor
 from sytcount.truncated import FAMILIES
 
@@ -540,6 +543,40 @@ class TestVerify:
         # int() refuses the whole numbers, so compare their last 50 digits
         assert int(rhs[-50:]) == 2 * int(lhs[-50:]) % 10**50
 
+    def test_non_integral_right_side_is_one_error(self, capsys, monkeypatch):
+        real = cli.coeff_d
+        monkeypatch.setattr(cli, "coeff_d", lambda *v: real(*v).over(1000003))
+        code, out, err = run(capsys, "verify", "coeff-d", "--mu", "1", "--k", "2",
+                             "--m", "2", "--n", "2", "--t", "2")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "leaves remainder" in err
+        assert "Traceback" not in err
+
+    # (identity, its coefficient, its pair terms, the factored and the integer count)
+    COEFF_GRID = [
+        ("coeff-c", coeff_c, stair_pair_terms, schur_ratio, schur_count,
+         [(mu, m, t) for m in range(4) for mu in ((), (m + 1,), (m + 3, m + 1))
+          for t in range(m * (m + 1) // 2 + 1)]),
+        ("coeff-d", coeff_d, rect_pair_terms, frobenius_young_ratio, frobenius_young,
+         [(mu, k, m, n, t) for mu, k in (((), 1), ((1,), 1), ((2, 1), 2)) for m in range(3)
+          for n in range(3) for t in range(m * n + 1)]),
+    ]
+
+    @pytest.mark.parametrize("name,coefficient,pair_terms,ratio,count,grid", COEFF_GRID,
+                             ids=[row[0] for row in COEFF_GRID])
+    def test_integer_right_side_equals_the_factored_product(
+        self, capsys, name, coefficient, pair_terms, ratio, count, grid
+    ):
+        # every left side set to -1, so each line reports the right side
+        for v in grid:
+            terms = [(lam, lam_c, a, b, -1) for lam, lam_c, a, b, _ in pair_terms(*v)]
+            assert cli._verify_coeff(name, coefficient(*v), terms, count) == (1 if terms else 0)
+            fails = capsys.readouterr().out.splitlines()[3:-1]
+            assert len(fails) == len(terms), v
+            for (lam, lam_c, *_), line in zip(terms, fails):
+                want = (coefficient(*v) * ratio(lam) * ratio(lam_c)).to_integer()
+                assert line == f"FAIL at lam={lam}: -1 != {want}", v
+
 
 class TestBudget:
     def test_conjecture_over_budget(self, capsys, monkeypatch):
@@ -796,6 +833,64 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "part:6,6", "--limit", "1")
         assert code == 0
         assert out == " 1  2  3  4  5  6\n 7  8  9 10 11 12\n"
+
+    @staticmethod
+    def reference_output(region, limit) -> str:
+        """What ``enumerate`` prints, rendered one row at a time."""
+        width = len(str(region.size))
+        rows = [(" " * ((s - 1) * (width + 1)), lo, hi) for _, s, lo, hi in region.order.rows]
+        out = io.StringIO()
+        for i, t in enumerate(enumerate_syt(region, limit=limit)):
+            if i:
+                print(file=out)
+            for indent, lo, hi in rows:
+                print(indent + " ".join(str(x).rjust(width) for x in t.flat[lo:hi]), file=out)
+        return out.getvalue()
+
+    @staticmethod
+    @st.composite
+    def small_shapes(draw) -> str:
+        """An ordinary, shifted or truncated shape of at most 16 cells."""
+        family = draw(st.sampled_from(["part", "shifted", "stair", "rect"]))
+        if family in ("part", "shifted"):
+            if family == "part":
+                parts = draw(st.lists(st.integers(1, 16), max_size=16))
+            else:
+                parts = draw(st.sets(st.integers(1, 16), max_size=5))
+            parts = sorted(parts, reverse=True)
+            while sum(parts) > 16:
+                parts.pop(0)
+            return f"{family}:{','.join(map(str, parts or [0]))}"
+        if family == "stair":
+            m = draw(st.integers(0, 5))
+            sides, most = str(m), max(m - 1, 0)
+        else:
+            m = draw(st.integers(0, 16))
+            n = draw(st.integers(0, 16 // max(m, 1)))
+            sides, most = f"{m}x{n}", m
+        cuts = draw(st.lists(st.integers(0, n if family == "rect" else m), max_size=most))
+        if family == "stair":  # row i keeps at least one cell; sorting keeps that
+            cuts = [min(c, m - i) for i, c in enumerate(cuts, start=1)]
+        kappa = ",".join(map(str, sorted(cuts, reverse=True)))
+        return f"{family}:{sides}" + (f"/{kappa}" if kappa else "")
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=small_shapes(), limit=st.none() | st.integers(0, 40))
+    @example(shape="rect:0x0", limit=None)
+    @example(shape="part:3,2", limit=None)  # labels of one digit
+    @example(shape="rect:3x4/2", limit=None)  # and of two
+    @example(shape="shifted:5,4,3", limit=3)
+    @example(shape="stair:5/3,1", limit=None)
+    def test_output_equals_the_row_by_row_rendering(self, shape, limit):
+        region = parse_descriptor(shape).region()
+        if limit is None:
+            assume(count_syt(region) <= 3000)
+        argv = ["enumerate", shape] + ([] if limit is None else ["--limit", str(limit)])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == self.reference_output(region, limit)
+        event(f"label width {len(str(region.size))}")
 
 
 class TestEntryPoint:

@@ -6,6 +6,7 @@ from operator import lt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sytcount import pivot
 from sytcount.count import LabelSetMismatch, count_syt, enumerate_syt
 from sytcount.formulas import PartTooSmall, coeff_c, frobenius_young, schur_count
 from sytcount.pivot import (
@@ -17,6 +18,7 @@ from sytcount.pivot import (
     _layout,
     _piece_plan,
     _plain_region,
+    _threshold_layout,
     _tiling,
     is_boundary_cell,
     piece_shape,
@@ -841,6 +843,48 @@ class TestPlanCaches:
         assert a is not b
         assert hash(a) == hash(b)
         assert _layout(a) is _layout(b)
+
+    def test_threshold_splits_of_equal_regions_share_one_layout(self, monkeypatch):
+        # the layout kept on each region is the one object the plan caches key on
+        seen = []
+        real = _piece_plan
+        monkeypatch.setattr(pivot, "_piece_plan", lambda *key: seen.append(key[0]) or real(*key))
+        a, b = build_region("rect:3x4"), build_region("rect:3x4")
+        for region in (a, b):
+            split_threshold(next(enumerate_syt(region)), 5)
+        # later splits read the layout off the region, not through the cache
+        monkeypatch.setattr(pivot, "_layout", None)
+        for region in (a, b):
+            unsplit_threshold(split_threshold(next(enumerate_syt(region)), 5), region)
+        assert len(seen) == 8 and all(layout is seen[0] for layout in seen)
+        assert _threshold_layout(a) is _threshold_layout(b) is seen[0]
+        monkeypatch.undo()
+        assert seen[0] is _layout(a) is _layout(b)
+
+    def test_pivot_and_threshold_splits_of_one_region_share_its_layout(self, monkeypatch):
+        seen = []
+        real = _piece_plan
+        monkeypatch.setattr(pivot, "_piece_plan", lambda *key: seen.append(key[0]) or real(*key))
+        region = build_region("rect:3x4")
+        t = next(enumerate_syt(region))
+        split_pivot(t, (1, 4))
+        split_threshold(t, 4)
+        split_pivot(t, (3, 4))
+        assert len(seen) == 6 and all(layout is seen[0] for layout in seen)
+        assert seen[0] is _threshold_layout(region)
+
+    @pytest.mark.parametrize("descriptor", ["stair:4/1", "rect:3x4/2", "part:3,1", "shifted:4,2"])
+    def test_a_refused_region_is_refused_again(self, descriptor):
+        region = build_region(descriptor)
+        t = next(enumerate_syt(region))
+        for _ in range(2):
+            with pytest.raises(UnsupportedRegion, match="needs a full rectangle"):
+                split_threshold(t, 1)
+            with pytest.raises(UnsupportedRegion, match="needs a full rectangle"):
+                unsplit_threshold(SplitResult(0, t, t), region)
+        # the refused region still pivots through the layout it keeps
+        cell = (1, region.rows[0][1])
+        assert outcome(split_pivot, t, cell) == outcome(reference_split_pivot, t, cell)
 
     def test_caches_hold_the_working_set_within_their_bounds(self):
         # Round trips over every tableau of rect:3x4 and stair:5, at the
