@@ -243,8 +243,8 @@ def _verify_coeff(label: str, coefficient: FactoredRatio, terms, count_of) -> in
     ]
     failures = [(lam, lhs, rhs) for lam, lhs, rhs in checked if lhs != rhs]
     print(label)
-    over = "" if value.denominator == 1 else f"/{_decimal(value.denominator)}"
-    print(f"coefficient {_decimal(value.numerator)}{over}")
+    over = "" if den == 1 else f"/{_decimal(den)}"
+    print(f"coefficient {_decimal(num)}{over}")
     print(f"instances {len(checked)}")
     for lam, lhs, rhs in failures:
         print(f"FAIL at lam={lam}: {_decimal(lhs)} != {_decimal(rhs)}")

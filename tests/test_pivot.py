@@ -882,7 +882,7 @@ class TestPlanCaches:
                 split_threshold(t, 1)
             with pytest.raises(UnsupportedRegion, match="needs a full rectangle"):
                 unsplit_threshold(SplitResult(0, t, t), region)
-        # the refused region still pivots through the layout it keeps
+        # the refusal leaves pivot splits of the region as they were
         cell = (1, region.rows[0][1])
         assert outcome(split_pivot, t, cell) == outcome(reference_split_pivot, t, cell)
 
