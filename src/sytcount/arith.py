@@ -4,8 +4,9 @@ factorization, and smoothness tests.
 A ratio of factorials is kept as prime exponents, accumulated with
 Legendre's formula and summed inline per prime, and converted to an
 integer only at the end; a negative exponent at that point raises
-:class:`NotAnInteger` instead of silently rounding.  A quotient whose two
-sides are small enough to multiply out is divided by :func:`exact_quotient`,
+:class:`NotAnInteger` instead of silently rounding.  Many small factorials
+are summed per prime over slices of one suffix-sum list.  A quotient whose
+two sides are small enough to multiply out is divided by :func:`exact_quotient`,
 which raises the same error on a nonzero remainder.
 Integer factors arrive as a multiset ``{k: count}`` (the many repeated
 differences of a Frobenius-Young or Schur product are counted in bulk by
@@ -20,8 +21,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat, starmap
-from operator import floordiv, itemgetter, mul
+from itertools import accumulate, islice, repeat, starmap
+from operator import add, floordiv, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 # Deterministic Miller-Rabin witness set below 3.3 * 10**24 (covers 2**64).
@@ -37,6 +38,10 @@ _MR_SMALL_BOUND = 3317044064679887385961981
 # the primes up to it before rho.  Below 257**2 every composite has a prime
 # factor under 256, so the table fits in a bytearray.
 _SPF_LIMIT = 1 << 16
+
+# factorial_ratio's crossover to slice sums, per bit of the second largest
+# argument (see there).  Chosen from both paths timed on the workloads' calls.
+_SLICE_SUM_TERMS = 2
 
 _sieve_primes: list[int] = []
 _sieve_limit = 0
@@ -229,6 +234,8 @@ def exact_quotient(num: int, den: int) -> int:
     raises :class:`NotAnInteger` instead of rounding."""
     quotient, remainder = divmod(num, den)
     if remainder:
+        num, den, remainder = (x if x.bit_length() < 10**4 else f"a {x.bit_length()}-bit integer"
+                               for x in (num, den, remainder))  # str() fails past 4,300 digits
         raise NotAnInteger(f"{num} / {den} leaves remainder {remainder}")
     return quotient
 
@@ -350,7 +357,12 @@ def factorial_ratio(
 
     Exponents come from Legendre's formula applied per prime, so no big
     factorial is ever multiplied out; the primes that divide only the
-    largest factorial are handled in one step.
+    largest factorial are handled in one step.  More arguments below the
+    largest than ``_SLICE_SUM_TERMS`` times the bit length of the second
+    largest go, with the ``powers`` up to it, into one suffix-sum list: a
+    prime costs a slice sum per power of it, and those above the square
+    root of the largest one pass in C.  Fewer arguments cost a Python step
+    per argument and prime, which is cheaper for them.
     """
     weight: dict[int, int] = {}
     for a in map(int, numerators):
@@ -379,12 +391,31 @@ def factorial_ratio(
         _extend_sieve(top)
         end = bisect.bisect_right(_sieve_primes, top)
         below = terms[-2][0] if len(terms) > 1 else 1
-        cut = bisect.bisect_right(_sieve_primes, max(math.isqrt(top), below), 0, end)
+        root = math.isqrt(top)
+        cut = bisect.bisect_right(_sieve_primes, max(root, below), 0, end)
+        small, reach, late = cut, 0, ()
+        if len(terms) - 1 > _SLICE_SUM_TERMS * below.bit_length():
+            # held[j] is the weight of the arguments below top that are at
+            # least j, so p**i divides their product sum(held[p**i::p**i])
+            # times; a power k <= below, k!/(k-1)!, weighs on j = k alone.
+            held = [0] * (below + 1)
+            for a, w in terms[:-1]:
+                held[a] = w
+            held = list(accumulate(reversed(held)))[::-1]
+            powers = dict(powers or {})
+            for k in [k for k in powers if 1 < k <= below]:
+                held[k] += powers.pop(k)
+            small, reach, terms = bisect.bisect_right(_sieve_primes, root, 0, cut), below, terms[-1:]
+            mid = _sieve_primes[small:cut]  # above sqrt(top) only p itself divides
+            late = filter(itemgetter(1), zip(mid, map(add, map(mul, repeat(w_top), map(floordiv, repeat(top), mid)),
+                                                      map(sum, map(held.__getitem__, map(slice, mid, repeat(None), mid))))))
         lo = 0
-        for p in _sieve_primes[:cut]:
+        for p in _sieve_primes[:small]:
             while terms[lo][0] < p:
                 lo += 1
-            e = 0
+            e, q = 0, p
+            while q <= reach:
+                e, q = e + sum(held[q::q]), q * p
             for a, w in terms[lo:]:
                 # Legendre's formula: a! holds p to the power sum(a // p**i).
                 while a >= p:
@@ -392,6 +423,7 @@ def factorial_ratio(
                     e += w * a
             if e:
                 factors.append((p, e))
+        factors += late
         # Each prime above sqrt(top) and every other argument divides only
         # top!, exactly top // p times.
         tail = _sieve_primes[cut:end]

@@ -3,7 +3,8 @@ pair-splitting identities.
 
 Every formula is evaluated exactly, so a wrong (non-integral) evaluation
 fails loudly instead of rounding.  The Frobenius-Young and Schur products
-are each written once, as ``n!`` times pairwise factors over factorials.
+are each written once, as ``n!`` times pairwise factors over factorials; a
+tall ordinary shape through its conjugate, since f(lam) = f(lam').
 Their ``*_ratio`` forms count the pairwise factors in bulk and hand the
 multisets to :func:`factorial_ratio`.  Their integer counts, for shapes
 up to ``_EXACT_DIVISION_SIZE``, multiply both sides out and divide with
@@ -25,6 +26,7 @@ from .shapes import (
     Partition,
     PartitionLike,
     StrictPartition,
+    _conjugate_parts,
     coerce_partition,
     coerce_strict,
     complement_in_rectangle,
@@ -76,11 +78,15 @@ def _frobenius_young_terms(lam: PartitionLike) -> tuple:
     ``|lam|! / prod((lam_i + m - i)!) * prod_{i<j}(lam_i - lam_j - i + j)``
     over the ``m`` parts of ``lam``; stable under trailing zeros.
     """
-    lam = coerce_partition(lam)
-    m = len(lam.parts)
+    parts = coerce_partition(lam).parts
+    # Transposing a tableau gives one of the conjugate shape, which has fewer
+    # pairwise factors; that pays once it cuts parts squared by more than 64.
+    if parts and len(parts) ** 2 - parts[0] ** 2 > 64:
+        parts = _conjugate_parts(parts)
+    m = len(parts)
     # lam_i - lam_j - i + j is the difference of the first-column hooks.
-    hooks = list(map(add, lam.parts, range(m - 1, -1, -1)))
-    return lam.size, hooks, starmap(sub, combinations(hooks, 2)), ()
+    hooks = list(map(add, parts, range(m - 1, -1, -1)))
+    return sum(parts), hooks, starmap(sub, combinations(hooks, 2)), ()
 
 
 def _schur_terms(lam: PartitionLike) -> tuple:

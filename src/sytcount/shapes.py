@@ -110,8 +110,15 @@ class Partition(_Parts):
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: column lengths become parts."""
-        columns = _transposed_rows([(1, p) for p in self.parts], self.part(1))
-        return Partition(tuple(e for _, e in columns))
+        return Partition(_conjugate_parts(self.parts))
+
+
+def _conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
+    """The conjugate of decreasing ``parts``: its j-th part counts those >= j."""
+    held = [0] * (parts[0] + 1 if parts else 1)
+    for p in parts:
+        held[p] += 1
+    return tuple(accumulate(reversed(held[1:])))[::-1]
 
 
 class StrictPartition(_Parts):
