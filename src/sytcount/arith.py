@@ -405,10 +405,12 @@ def factorial_ratio(
             powers = dict(powers or {})
             for k in [k for k in powers if 1 < k <= below]:
                 held[k] += powers.pop(k)
-            small, reach, terms = bisect.bisect_right(_sieve_primes, root, 0, cut), below, terms[-1:]
+            small = bisect.bisect_right(_sieve_primes, root, 0, cut)
+            reach, terms = below, terms[-1:]
             mid = _sieve_primes[small:cut]  # above sqrt(top) only p itself divides
-            late = filter(itemgetter(1), zip(mid, map(add, map(mul, repeat(w_top), map(floordiv, repeat(top), mid)),
-                                                      map(sum, map(held.__getitem__, map(slice, mid, repeat(None), mid))))))
+            exponents = map(add, map(mul, repeat(w_top), map(floordiv, repeat(top), mid)),
+                            map(sum, map(held.__getitem__, map(slice, mid, repeat(None), mid))))
+            late = filter(itemgetter(1), zip(mid, exponents))
         lo = 0
         for p in _sieve_primes[:small]:
             while terms[lo][0] < p:
