@@ -7,8 +7,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from sytcount import arith
 from sytcount.arith import (
     FactoredRatio,
     Factorization,
@@ -313,3 +314,47 @@ class TestFactorialRatios:
     def test_superfactorial_ratio(self, m):
         want = math.prod(math.factorial(i) for i in range(m))
         assert factorial_ratio(range(m), []).to_integer() == want
+
+
+# Keys for factorial_ratio's powers: small ones (into the suffix sums when
+# they lie below the second largest argument), large ones (through factorize)
+# and negative ones (a sign), each with a weight of either sign.
+power_keys = st.one_of(
+    st.integers(1, 250),
+    st.integers(_BIG + 1, 2**24),
+    st.integers(-2**24, -1),
+)
+
+
+class TestManyFactorials:
+    """``factorial_ratio`` with up to 120 small arguments and a large one, on
+    both sides of the crossover between per-argument Legendre sums and slice
+    sums over one suffix-sum list."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 120).flatmap(lambda n: st.lists(
+            st.tuples(st.integers(0, 200), st.booleans()), min_size=n, max_size=n)),
+        st.none() | st.integers(10**4 + 1, 11_000),
+        st.dictionaries(power_keys, st.integers(-3, 3), max_size=25),
+    )
+    def test_matches_fractions(self, args, top, powers):
+        nums = [a for a, up in args if up] + ([top] if top else [])
+        dens = [a for a, up in args if not up]
+        weight = {}
+        for a in nums:
+            weight[a] = weight.get(a, 0) + 1
+        for b in dens:
+            weight[b] = weight.get(b, 0) - 1
+        kept = sorted(a for a, w in weight.items() if w and a > 1)
+        # the crossover as factorial_ratio reads it, its top-pair shortcut aside
+        below = kept[-2] if len(kept) > 1 else 1
+        sliced = len(kept) - 1 > arith._SLICE_SUM_TERMS * below.bit_length()
+        event(f"slice sums: {sliced}")
+        r = factorial_ratio(nums, dens, powers)
+        want = Fraction(
+            math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
+        ) * math.prod(Fraction(k) ** w for k, w in powers.items())
+        assert r.to_fraction() == want
+        assert [p for p, _ in r.factors] == sorted({p for p, _ in r.factors})
+        assert all(e for _, e in r.factors)

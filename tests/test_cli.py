@@ -552,6 +552,19 @@ class TestVerify:
         assert err.count("\n") == 1 and err.startswith("error: ") and "leaves remainder" in err
         assert "Traceback" not in err
 
+    def test_non_integral_right_side_past_the_digit_limit_names_the_remainder(self, capsys, monkeypatch):
+        # the right side's numerator has about 10,000 digits, past the int-to-str
+        # limit: the message gives its size and the remainder in digits
+        real = cli.coeff_c
+        monkeypatch.setattr(cli, "coeff_c", lambda *v: real(*v).over(1000003))
+        code, out, err = run(capsys, "verify", *self.LONG_COEFFICIENT[0])
+        assert (code, out) == (2, "")
+        head, _, remainder = err.removeprefix("error: a ").partition("-bit integer / ")
+        den, _, remainder = remainder.partition(" leaves remainder ")
+        assert int(head) > 14_300 and int(den) % 1000003 == 0
+        assert remainder.endswith("\n") and 0 < int(remainder) < int(den)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     # (identity, its coefficient, its pair terms, the factored and the integer count)
     COEFF_GRID = [
         ("coeff-c", coeff_c, stair_pair_terms, schur_ratio, schur_count,

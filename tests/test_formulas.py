@@ -7,9 +7,10 @@ top of the cell-poset counter, so a shared bug in the library cannot hide.
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from sytcount import formulas
 from sytcount.arith import NotAnInteger, exact_quotient
@@ -155,6 +156,37 @@ ordinary_shapes = st.lists(st.integers(0, 60), max_size=45).map(
 shifted_shapes = st.sets(st.integers(1, 120), max_size=45).map(
     lambda xs: StrictPartition(tuple(sorted(xs, reverse=True)))
 )
+
+
+# Up to 60 parts of at most a drawn width of 1 to 60: tall shapes, which
+# are counted through their conjugates, and wide ones, which are not.
+tall_or_wide_shapes = st.tuples(st.integers(1, 60), st.integers(0, 60)).flatmap(
+    lambda wm: st.lists(st.integers(1, wm[0]), min_size=wm[1], max_size=wm[1])
+).map(lambda xs: Partition(tuple(sorted(xs, reverse=True))))
+
+
+class TestConjugation:
+    """The Frobenius-Young counts against the product over the shape's own
+    parts, multiplied out in the test, never through the conjugate."""
+
+    @settings(max_examples=150)
+    @given(tall_or_wide_shapes)
+    def test_counts_equal_the_unconjugated_product(self, lam):
+        parts = lam.parts
+        m = len(parts)
+        hooks = [p + m - 1 - i for i, p in enumerate(parts)]
+        top, rest = divmod(
+            math.factorial(lam.size) * math.prod(a - b for a, b in combinations(hooks, 2)),
+            math.prod(map(math.factorial, hooks)),
+        )
+        assert rest == 0
+        # the two lines formulas draws: through the conjugate, and the exact division
+        conjugated = bool(parts) and m**2 - parts[0] ** 2 > 64
+        rows = parts[0] if conjugated else m
+        event(f"conjugated: {conjugated}, exact division: "
+              f"{lam.size + rows**2 <= _EXACT_DIVISION_SIZE}")
+        assert frobenius_young(lam) == top
+        assert frobenius_young_ratio(lam).to_integer() == top
 
 
 class TestExactDivision:

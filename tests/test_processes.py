@@ -39,10 +39,10 @@ def start(argv, stdout=subprocess.PIPE) -> subprocess.Popen:
     )
 
 
-def finish(child: subprocess.Popen) -> tuple[str, str]:
+def finish(child: subprocess.Popen, timeout: float = TIMEOUT) -> tuple[str, str]:
     """The child's remaining stdout (empty if closed) and its stderr."""
     try:
-        out, err = child.communicate(timeout=TIMEOUT)
+        out, err = child.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         child.kill()
         child.communicate()
@@ -58,6 +58,14 @@ def finish(child: subprocess.Popen) -> tuple[str, str]:
 def test_an_answer_exits_0(argv, out):
     child = start(argv)
     assert finish(child) == (out, "") and child.returncode == 0
+
+
+def test_a_tall_shape_is_counted_within_10_seconds():
+    # one side of each pair term is a column of up to 997 cells, counted
+    # through its conjugate, one row, not through up to ~500,000 pairwise factors
+    child = start(["verify", "main-rect", "--mu", "0", "--k", "1", "--m", "996", "--n", "1"])
+    out, err = finish(child, timeout=10)
+    assert (out.splitlines()[-1], err, child.returncode) == ("PASS", "", 0)
 
 
 @pytest.mark.parametrize("argv, message", [
